@@ -155,12 +155,12 @@ fn forge_payload(msg: &RepairMsg, rng: &mut SmallRng) -> RepairMsg {
             // plausible shape that digests differently.
             let mut forged: Vec<Node> = list.iter().rev().copied().collect();
             forged.push(o.wrapping_add(salt % 7 + 1));
-            RepairMsg::LinkState(*e, *o, forged, *ttl)
+            RepairMsg::LinkState(*e, *o, forged.into(), *ttl)
         }
         RepairMsg::TreeAdvert(e, o, edges, ttl) => {
-            let mut forged = edges.clone();
+            let mut forged = edges.to_vec();
             forged.push((*o, o.wrapping_add(salt % 5 + 1)));
-            RepairMsg::TreeAdvert(*e, *o, forged, *ttl)
+            RepairMsg::TreeAdvert(*e, *o, forged.into(), *ttl)
         }
     }
 }
@@ -315,18 +315,18 @@ impl AgreementReport {
 
 /// Checks honest-node agreement over accepted wave digests.
 ///
-/// `per_node[v]` holds node `v`'s accepted digest map (key `(epoch,
-/// origin)` → content digest), e.g.
+/// `per_node[v]` yields node `v`'s accepted digests (key `(epoch,
+/// origin)` → content digest), e.g. the view
 /// [`RepairNode::accepted_link_state`](rspan_distributed::RepairNode::accepted_link_state);
 /// `byz` is the marked node set.  For every key, the reference digest is
 /// the honest origin's own record when present (an origin always records
 /// what it flooded); for Byzantine origins it is the first honest
 /// acceptor's, so the check degrades to pairwise honest consistency —
 /// exactly what reliable broadcast promises for a faulty sender.
-pub fn honest_agreement(
-    per_node: &[&HashMap<(u64, Node), u64>],
-    byz: &HashSet<Node>,
-) -> AgreementReport {
+pub fn honest_agreement<D>(per_node: &[D], byz: &HashSet<Node>) -> AgreementReport
+where
+    D: IntoIterator<Item = ((u64, Node), u64)> + Clone,
+{
     let mut reference: HashMap<(u64, Node), u64> = HashMap::new();
     // Pass 1: honest origins' own records are the ground truth.
     for (v, accepted) in per_node.iter().enumerate() {
@@ -334,7 +334,7 @@ pub fn honest_agreement(
         if byz.contains(&v) {
             continue;
         }
-        for (&key, &digest) in accepted.iter() {
+        for (key, digest) in accepted.clone() {
             if key.1 == v {
                 reference.insert(key, digest);
             }
@@ -348,7 +348,7 @@ pub fn honest_agreement(
         if byz.contains(&v) {
             continue;
         }
-        for (&key, &digest) in accepted.iter() {
+        for (key, digest) in accepted.clone() {
             report.checks += 1;
             match reference.get(&key) {
                 Some(&expect) => {
@@ -415,7 +415,7 @@ mod tests {
     #[test]
     fn plain_injector_applies_each_behaviour() {
         let mut rng = SmallRng::seed_from_u64(5);
-        let msg = RepairMsg::LinkState(4, 0, vec![1, 2], 3);
+        let msg = RepairMsg::LinkState(4, 0, vec![1, 2].into(), 3);
         let plan = |b| FaultPlan {
             f: 1,
             byzantine: vec![(0, b)],
@@ -425,7 +425,7 @@ mod tests {
         let mut forge = RepairFaultInjector::new(plan(ByzBehaviour::Forge));
         match forge.intercept(0, 1, &msg, &mut rng) {
             FaultVerdict::Replace(RepairMsg::LinkState(4, 0, list, 3)) => {
-                assert_ne!(list, vec![1, 2]);
+                assert_ne!(list[..], [1, 2]);
             }
             _ => panic!("forger must rewrite"),
         }
@@ -453,7 +453,7 @@ mod tests {
         let mut replay = RepairFaultInjector::new(plan(ByzBehaviour::Replay));
         match replay.intercept(0, 1, &msg, &mut rng) {
             FaultVerdict::Replace(RepairMsg::LinkState(1, 0, list, 3)) => {
-                assert_eq!(list, vec![1, 2], "replay keeps content, moves epoch");
+                assert_eq!(list[..], [1, 2], "replay keeps content, moves epoch");
             }
             _ => panic!("replayer must re-stamp"),
         }
@@ -471,7 +471,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(5);
 
         // A frame node 3 signs itself: tampered AND validly re-signed.
-        let own = RepairMsg::LinkState(4, 3, vec![1, 2], 3);
+        let own = RepairMsg::LinkState(4, 3, vec![1, 2].into(), 3);
         let own_frame = RbMsg::Echo(3, own, 0, 3);
         let own_frame =
             own_frame.with_payload(own_frame.payload().clone(), own_frame.expected_mac(&auth));
@@ -492,7 +492,7 @@ mod tests {
         }
 
         // A relay of node 0's Init: tampered, MAC left stale (unforgeable).
-        let other = RepairMsg::LinkState(4, 0, vec![1, 2], 3);
+        let other = RepairMsg::LinkState(4, 0, vec![1, 2].into(), 3);
         let relay = RbMsg::Init(other, 0, 3);
         let relay = relay.with_payload(relay.payload().clone(), relay.expected_mac(&auth));
         match inj.intercept(3, 1, &relay, &mut rng) {
@@ -517,17 +517,17 @@ mod tests {
         let honest1: HashMap<(u64, Node), u64> = [((1, 0), 10)].into();
         let poisoned: HashMap<(u64, Node), u64> = [((1, 0), 99)].into();
         let byz = HashSet::new();
-        let ok = honest_agreement(&[&honest0, &honest1], &byz);
+        let ok = honest_agreement(&[honest0.clone(), honest1.clone()], &byz);
         assert!(ok.agreement_ok());
         assert_eq!(ok.checks, 2);
-        let bad = honest_agreement(&[&honest0, &honest1, &poisoned], &byz);
+        let bad = honest_agreement(&[honest0, honest1, poisoned], &byz);
         assert_eq!(bad.violations, 1);
 
         // Byzantine origin: honest acceptors must still agree pairwise.
         let byz: HashSet<Node> = [9].into();
         let a: HashMap<(u64, Node), u64> = [((2, 9), 5)].into();
         let b: HashMap<(u64, Node), u64> = [((2, 9), 6)].into();
-        let split = honest_agreement(&[&a, &b], &byz);
+        let split = honest_agreement(&[a, b], &byz);
         assert_eq!(split.violations, 1, "equivocation splits honest nodes");
     }
 }

@@ -50,8 +50,8 @@ pub use compact::{CacheStats, CompactRouter, LocalConfig, LocalRepairStats};
 pub use delta::{DeltaRouter, RepairStats};
 pub use dynamics::{apply_change, restabilise_with, ChurnSession, TopologyChange};
 pub use protocol::{
-    restabilise_flood, run_remspan_protocol, DistributedRun, IncrementalRun, RemSpanMsg,
-    RemSpanNode, RepairMsg, RepairNode, TreeStrategy, WaveNode,
+    restabilise_flood, run_remspan_protocol, AcceptedDigests, AcceptedIter, DistributedRun,
+    IncrementalRun, RemSpanMsg, RemSpanNode, RepairMsg, RepairNode, TreeStrategy, WaveNode,
 };
 pub use rb::{Auth, Fnv64, RbMsg, RbNode, RbPayload, RbStats, SeededAuth};
 pub use routing::{

@@ -37,6 +37,7 @@ use rspan_engine::{RspanEngine, SpannerDelta};
 use rspan_graph::{CsrGraph, EdgeSet, GraphBuilder, Node, Subgraph};
 use rspan_obs::{DropCause, FrameKind, FrameMeta, WaveId};
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// Which dominating-tree algorithm each node runs on its local view.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -370,12 +371,42 @@ pub fn run_remspan_protocol(graph: &CsrGraph, strategy: TreeStrategy) -> Distrib
 /// [`restabilise_flood`] the stamp is constant, but on an asynchronous event
 /// timeline successive waves from the same origin interleave and the stamp
 /// keeps their duplicate suppression separate.
+///
+/// Payloads are immutable shared slices.  A broadcast hands every neighbour
+/// a clone of one frame and a relay forwards the slice it received with the
+/// TTL decremented, so fan-out bumps a reference count instead of copying
+/// the list.  The wire size, the codec bytes and the content digest depend
+/// only on the slice contents, never on how the slice is shared.
 #[derive(Clone, Debug)]
 pub enum RepairMsg {
     /// Refreshed link state: `(epoch, origin, origin's neighbor list, ttl)`.
-    LinkState(u64, Node, Vec<Node>, u32),
+    LinkState(u64, Node, Arc<[Node]>, u32),
     /// New-tree advertisement: `(epoch, origin, tree edges, ttl)`.
-    TreeAdvert(u64, Node, Vec<(Node, Node)>, u32),
+    TreeAdvert(u64, Node, Arc<[(Node, Node)]>, u32),
+}
+
+impl RepairMsg {
+    /// The `(epoch, origin)` wave key, the wave-table slot and the TTL.
+    fn header(&self) -> ((u64, Node), usize, u32) {
+        match *self {
+            RepairMsg::LinkState(e, o, _, ttl) => ((e, o), LINK_STATE, ttl),
+            RepairMsg::TreeAdvert(e, o, _, ttl) => ((e, o), TREE_ADVERT, ttl),
+        }
+    }
+
+    /// The same frame one hop further — shared payload, TTL decremented —
+    /// or `None` when its TTL allows no further hop.
+    fn relayed(&self) -> Option<RepairMsg> {
+        match self {
+            RepairMsg::LinkState(e, o, list, ttl) if *ttl > 1 => {
+                Some(RepairMsg::LinkState(*e, *o, Arc::clone(list), ttl - 1))
+            }
+            RepairMsg::TreeAdvert(e, o, edges, ttl) if *ttl > 1 => {
+                Some(RepairMsg::TreeAdvert(*e, *o, Arc::clone(edges), ttl - 1))
+            }
+            _ => None,
+        }
+    }
 }
 
 impl WireSize for RepairMsg {
@@ -390,10 +421,11 @@ impl WireSize for RepairMsg {
     fn meta(&self) -> FrameMeta {
         // The wave identity `(origin, epoch)` is already on the wire — the
         // observability layer reads it, it never adds bytes.
-        let (kind, epoch, origin, ttl) = match self {
-            RepairMsg::LinkState(e, o, _, ttl) => (FrameKind::LinkState, *e, *o, *ttl),
-            RepairMsg::TreeAdvert(e, o, _, ttl) => (FrameKind::TreeAdvert, *e, *o, *ttl),
+        let kind = match self {
+            RepairMsg::LinkState(..) => FrameKind::LinkState,
+            RepairMsg::TreeAdvert(..) => FrameKind::TreeAdvert,
         };
+        let ((epoch, origin), _, ttl) = self.header();
         FrameMeta {
             kind,
             wave: Some(WaveId { origin, epoch }),
@@ -401,6 +433,25 @@ impl WireSize for RepairMsg {
         }
     }
 }
+
+/// Wave-table slot of the link-state flood (the [`crate::rb::RbPayload`]
+/// slot numbering).
+const LINK_STATE: usize = 0;
+/// Wave-table slot of the tree-advert flood.
+const TREE_ADVERT: usize = 1;
+
+/// What a node accepted from one flood of one wave.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Accepted {
+    /// Content digest of the accepted frame ([`crate::rb::RbPayload::digest`]).
+    digest: u64,
+    /// TTL of the accepted frame; `u32::MAX` for the node's own flood.
+    best_ttl: u32,
+}
+
+/// One wave-table entry, indexed by slot ([`LINK_STATE`], [`TREE_ADVERT`]):
+/// `Some` iff the node accepted that flood of the `(epoch, origin)` wave.
+type WaveSeen = [Option<Accepted>; 2];
 
 /// Per-node state of the *incremental* restabilisation flood (§2.3): after
 /// an engine commit, only the nodes whose dominating tree was recomputed
@@ -415,27 +466,33 @@ impl WireSize for RepairMsg {
 /// ([`RepairNode::originate`], or [`ProtocolNode::on_start`] for one-shot
 /// runs).  A dirty node that is crashed when its wave begins originates it
 /// on recovery instead ([`ProtocolNode::on_recover`]).
+///
+/// Everything a node knows about the waves it has seen lives in one *wave
+/// table*, keyed by `(epoch, origin)`, with one slot per flood (link state,
+/// tree advert) holding the accepted content digest and TTL.  Dedup, the
+/// refreshed set, the agreement digests and the monotone-mode TTL floor are
+/// all read from that one slot.  They used to be seven containers (seen,
+/// refreshed, accepted and best-TTL sets per flood kind), but their key sets
+/// always coincided: every accept and every origination inserted the same
+/// key into all of a kind's containers, and the window prune dropped the
+/// same keys from all of them.  The one difference was a monotone-mode
+/// best-TTL entry of 0 left by a rejected `ttl == 0` frame, and a floor of 0
+/// behaves exactly like no entry.  So `begin_wave` prunes one table, and
+/// the accessors are views over it.
 pub struct RepairNode {
     radius: u32,
     /// Wave currently armed on this node.
     epoch: u64,
     /// `Some(tree edges)` iff this node was recomputed by the commit that
-    /// armed the current wave.
-    dirty_tree: Option<Vec<(Node, Node)>>,
+    /// armed the current wave; shared by every advert of that tree.
+    dirty_tree: Option<Arc<[(Node, Node)]>>,
     /// Whether this node already originated the current wave.
     originated: bool,
-    seen_ls: HashSet<(u64, Node)>,
-    seen_tree: HashSet<(u64, Node)>,
-    /// `(epoch, origin)` pairs whose refreshed link state this node collected.
-    refreshed_link_state: HashSet<(u64, Node)>,
+    /// The wave table: per `(epoch, origin)`, what this node accepted from
+    /// each flood (its own record, for waves it originated).
+    waves: HashMap<(u64, Node), WaveSeen>,
     /// Spanner edges incident to this node learned from the re-adverts.
     incident_updates: HashSet<(Node, Node)>,
-    /// Content digest of the link state accepted per `(epoch, origin)` —
-    /// the agreement witness the Byzantine harness compares across honest
-    /// nodes (dirty nodes record their own flood).
-    accepted_ls: HashMap<(u64, Node), u64>,
-    /// Content digest of the tree advert accepted per `(epoch, origin)`.
-    accepted_tree: HashMap<(u64, Node), u64>,
     /// Disposition of the most recent delivery (consumed vs dedup), exposed
     /// through [`ProtocolNode::last_rx`] for trace/observability attribution.
     last_rx: DropCause,
@@ -444,10 +501,6 @@ pub struct RepairNode {
     /// `(epoch, origin)`, overwriting the accepted digest.  See
     /// [`RepairNode::with_monotone`].
     monotone: bool,
-    /// Best TTL accepted per `(epoch, origin)` link-state key (monotone mode).
-    best_ls: HashMap<(u64, Node), u32>,
-    /// Best TTL accepted per `(epoch, origin)` tree-advert key (monotone mode).
-    best_tree: HashMap<(u64, Node), u32>,
 }
 
 impl RepairNode {
@@ -458,16 +511,10 @@ impl RepairNode {
             epoch: 0,
             dirty_tree: None,
             originated: true, // nothing to originate until a wave is armed
-            seen_ls: HashSet::new(),
-            seen_tree: HashSet::new(),
-            refreshed_link_state: HashSet::new(),
+            waves: HashMap::new(),
             incident_updates: HashSet::new(),
-            accepted_ls: HashMap::new(),
-            accepted_tree: HashMap::new(),
             last_rx: DropCause::None,
             monotone: false,
-            best_ls: HashMap::new(),
-            best_tree: HashMap::new(),
         }
     }
 
@@ -500,20 +547,13 @@ impl RepairNode {
     pub fn begin_wave(&mut self, epoch: u64, dirty_tree: Option<Vec<(Node, Node)>>) {
         self.epoch = epoch;
         self.originated = dirty_tree.is_none();
-        self.dirty_tree = dirty_tree;
-        // Keep the per-wave dedup state bounded on long-lived nodes: a wave
-        // more than two epochs stale has no frames in flight worth
-        // suppressing (and a straggler that slipped past the window is
-        // merely re-forwarded once, TTL-bounded), so its entries are dead
-        // weight.
+        self.dirty_tree = dirty_tree.map(Arc::from);
+        // Keep the wave table bounded on long-lived nodes: a wave more than
+        // two epochs stale has no frames in flight worth suppressing (and a
+        // straggler that slipped past the window is merely re-forwarded
+        // once, TTL-bounded), so its entries are dead weight.
         let keep = epoch.saturating_sub(2);
-        self.seen_ls.retain(|&(e, _)| e >= keep);
-        self.seen_tree.retain(|&(e, _)| e >= keep);
-        self.refreshed_link_state.retain(|&(e, _)| e >= keep);
-        self.accepted_ls.retain(|&(e, _), _| e >= keep);
-        self.accepted_tree.retain(|&(e, _), _| e >= keep);
-        self.best_ls.retain(|&(e, _), _| e >= keep);
-        self.best_tree.retain(|&(e, _), _| e >= keep);
+        self.waves.retain(|&(e, _), _| e >= keep);
     }
 
     /// Originates the armed wave (no-op for clean nodes): records the node's
@@ -525,27 +565,24 @@ impl RepairNode {
             return; // clean nodes originate nothing
         };
         let me = net.me();
-        self.seen_ls.insert((self.epoch, me));
-        self.seen_tree.insert((self.epoch, me));
-        // Monotone mode: pin the node's own wave at the ceiling so relayed
-        // copies of its own flood (ttl ≤ radius − 1) can never overwrite the
-        // digest it records for itself below.
-        self.best_ls.insert((self.epoch, me), u32::MAX);
-        self.best_tree.insert((self.epoch, me), u32::MAX);
-        self.refreshed_link_state.insert((self.epoch, me));
-        for &(a, b) in &tree {
+        for &(a, b) in tree.iter() {
             if a == me || b == me {
                 self.incident_updates.insert(ordered(a, b));
             }
         }
-        // Record what this node itself floods: the agreement reference the
-        // Byzantine harness compares every honest acceptor against.
-        let ls = RepairMsg::LinkState(self.epoch, me, net.neighbors().to_vec(), self.radius);
+        let ls = RepairMsg::LinkState(self.epoch, me, net.neighbors().into(), self.radius);
         let ta = RepairMsg::TreeAdvert(self.epoch, me, tree, self.radius);
-        self.accepted_ls
-            .insert((self.epoch, me), crate::rb::RbPayload::digest(&ls));
-        self.accepted_tree
-            .insert((self.epoch, me), crate::rb::RbPayload::digest(&ta));
+        // Record what this node itself floods — the agreement reference the
+        // Byzantine harness compares every honest acceptor against — with
+        // the TTL floor pinned at the ceiling, so relayed copies of its own
+        // flood (ttl ≤ radius − 1) can never overwrite it in monotone mode.
+        let own = |msg: &RepairMsg| {
+            Some(Accepted {
+                digest: crate::rb::RbPayload::digest(msg),
+                best_ttl: u32::MAX,
+            })
+        };
+        self.waves.insert((self.epoch, me), [own(&ls), own(&ta)]);
         if self.radius == 0 || net.neighbors().is_empty() {
             return;
         }
@@ -556,13 +593,13 @@ impl RepairNode {
     /// How many `(epoch, origin)` refreshed link-state advertisements this
     /// node collected in total (dirty nodes count themselves).
     pub fn refreshed_link_state_count(&self) -> usize {
-        self.refreshed_link_state.len()
+        self.accepted_link_state().len()
     }
 
     /// Whether this node collected `origin`'s refreshed link state for the
     /// wave stamped `epoch`.
     pub fn has_refreshed(&self, epoch: u64, origin: Node) -> bool {
-        self.refreshed_link_state.contains(&(epoch, origin))
+        self.accepted_link_state().contains_key(&(epoch, origin))
     }
 
     /// Spanner edges incident to this node learned from re-adverts (all waves).
@@ -573,20 +610,26 @@ impl RepairNode {
     /// Per `(epoch, origin)`: content digest of the link state this node
     /// accepted (its own, for waves it originated).  Honest nodes agreeing
     /// on every shared key is the Byzantine-harness acceptance criterion.
-    pub fn accepted_link_state(&self) -> &HashMap<(u64, Node), u64> {
-        &self.accepted_ls
+    pub fn accepted_link_state(&self) -> AcceptedDigests<'_> {
+        AcceptedDigests {
+            waves: &self.waves,
+            slot: LINK_STATE,
+        }
     }
 
     /// Per `(epoch, origin)`: content digest of the tree advert accepted.
-    pub fn accepted_tree_adverts(&self) -> &HashMap<(u64, Node), u64> {
-        &self.accepted_tree
+    pub fn accepted_tree_adverts(&self) -> AcceptedDigests<'_> {
+        AcceptedDigests {
+            waves: &self.waves,
+            slot: TREE_ADVERT,
+        }
     }
 
     /// The `(epoch, origin)` pairs whose refreshed link state this node
     /// collected (dirty nodes include themselves) — the end-state set real
     /// transports compare bit-for-bit against the simulator's.
-    pub fn refreshed_link_state(&self) -> &HashSet<(u64, Node)> {
-        &self.refreshed_link_state
+    pub fn refreshed_link_state(&self) -> impl Iterator<Item = (u64, Node)> + '_ {
+        self.accepted_link_state().into_iter().map(|(key, _)| key)
     }
 
     /// Spanner edges incident to this node learned from re-adverts.
@@ -594,29 +637,119 @@ impl RepairNode {
         &self.incident_updates
     }
 
-    /// Decides acceptance of a flood frame.  First-copy mode: accept iff the
-    /// `(epoch, origin)` key is new.  Monotone mode: accept iff `ttl`
-    /// strictly improves on the best accepted for the key (see
-    /// [`RepairNode::with_monotone`]).
-    fn accept(
-        seen: &mut HashSet<(u64, Node)>,
-        best: &mut HashMap<(u64, Node), u32>,
-        monotone: bool,
-        key: (u64, Node),
-        ttl: u32,
-    ) -> bool {
-        if monotone {
-            let slot = best.entry(key).or_insert(0);
-            if ttl > *slot {
-                *slot = ttl;
-                seen.insert(key);
-                true
-            } else {
-                false
-            }
-        } else {
-            seen.insert(key)
+    /// Decides acceptance of a flood frame and, on accept, records its
+    /// digest and TTL in the frame's wave-table slot.  First-copy mode:
+    /// accept iff the slot is empty.  Monotone mode: accept iff `ttl`
+    /// strictly exceeds the slot's best TTL, an empty slot counting as 0 —
+    /// so a `ttl == 0` frame is never accepted there, while first-copy mode
+    /// accepts it as a new key (see [`RepairNode::with_monotone`]).
+    fn accept(&mut self, msg: &RepairMsg) -> bool {
+        let (key, slot, ttl) = msg.header();
+        if self.monotone && ttl == 0 {
+            return false;
         }
+        let entry = &mut self.waves.entry(key).or_default()[slot];
+        let fresh = match entry {
+            None => true,
+            Some(prev) => self.monotone && ttl > prev.best_ttl,
+        };
+        if fresh {
+            *entry = Some(Accepted {
+                digest: crate::rb::RbPayload::digest(msg),
+                best_ttl: ttl,
+            });
+        }
+        fresh
+    }
+}
+
+/// Read-only view of one flood's column of a [`RepairNode`]'s wave table:
+/// per `(epoch, origin)`, the content digest the node accepted.  Compares
+/// equal to another view with the same key → digest pairs.
+#[derive(Clone, Copy)]
+pub struct AcceptedDigests<'a> {
+    waves: &'a HashMap<(u64, Node), WaveSeen>,
+    slot: usize,
+}
+
+impl<'a> AcceptedDigests<'a> {
+    /// The accepted digest for `key`, if any.
+    pub fn get(&self, key: &(u64, Node)) -> Option<u64> {
+        self.accepted(key).map(|a| a.digest)
+    }
+
+    /// Whether a frame of this flood was accepted for `key`.
+    pub fn contains_key(&self, key: &(u64, Node)) -> bool {
+        self.accepted(key).is_some()
+    }
+
+    /// Number of keys with an accepted digest.
+    pub fn len(&self) -> usize {
+        self.waves
+            .values()
+            .filter(|w| w[self.slot].is_some())
+            .count()
+    }
+
+    /// Whether no frame of this flood was accepted.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    fn accepted(&self, key: &(u64, Node)) -> Option<&'a Accepted> {
+        self.waves.get(key).and_then(|w| w[self.slot].as_ref())
+    }
+}
+
+impl<'a> IntoIterator for AcceptedDigests<'a> {
+    type Item = ((u64, Node), u64);
+    type IntoIter = AcceptedIter<'a>;
+
+    /// `(key, digest)` pairs in unspecified order.
+    fn into_iter(self) -> AcceptedIter<'a> {
+        AcceptedIter {
+            inner: self.waves.iter(),
+            slot: self.slot,
+        }
+    }
+}
+
+impl std::ops::Index<&(u64, Node)> for AcceptedDigests<'_> {
+    type Output = u64;
+
+    fn index(&self, key: &(u64, Node)) -> &u64 {
+        &self
+            .accepted(key)
+            .expect("no accepted digest for key")
+            .digest
+    }
+}
+
+impl PartialEq for AcceptedDigests<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.into_iter().all(|(k, d)| other.get(&k) == Some(d))
+    }
+}
+
+impl std::fmt::Debug for AcceptedDigests<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_map().entries(*self).finish()
+    }
+}
+
+/// Iterator over an [`AcceptedDigests`] view.
+pub struct AcceptedIter<'a> {
+    inner: std::collections::hash_map::Iter<'a, (u64, Node), WaveSeen>,
+    slot: usize,
+}
+
+impl Iterator for AcceptedIter<'_> {
+    type Item = ((u64, Node), u64);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let slot = self.slot;
+        self.inner
+            .find_map(|(&key, w)| w[slot].map(|a| (key, a.digest)))
     }
 }
 
@@ -628,59 +761,21 @@ impl ProtocolNode for RepairNode {
     }
 
     fn on_message(&mut self, net: &mut dyn Transport<RepairMsg>, _from: Node, msg: &RepairMsg) {
+        if !self.accept(msg) {
+            self.last_rx = DropCause::Dedup;
+            return;
+        }
         self.last_rx = DropCause::None;
-        match msg {
-            RepairMsg::LinkState(epoch, origin, list, ttl) => {
-                if Self::accept(
-                    &mut self.seen_ls,
-                    &mut self.best_ls,
-                    self.monotone,
-                    (*epoch, *origin),
-                    *ttl,
-                ) {
-                    self.refreshed_link_state.insert((*epoch, *origin));
-                    self.accepted_ls
-                        .insert((*epoch, *origin), crate::rb::RbPayload::digest(msg));
-                    if *ttl > 1 {
-                        net.send(Outgoing::Broadcast(RepairMsg::LinkState(
-                            *epoch,
-                            *origin,
-                            list.clone(),
-                            ttl - 1,
-                        )));
-                    }
-                } else {
-                    self.last_rx = DropCause::Dedup;
+        if let RepairMsg::TreeAdvert(_, _, edges, _) = msg {
+            let me = net.me();
+            for &(a, b) in edges.iter() {
+                if a == me || b == me {
+                    self.incident_updates.insert(ordered(a, b));
                 }
             }
-            RepairMsg::TreeAdvert(epoch, origin, edges, ttl) => {
-                if Self::accept(
-                    &mut self.seen_tree,
-                    &mut self.best_tree,
-                    self.monotone,
-                    (*epoch, *origin),
-                    *ttl,
-                ) {
-                    self.accepted_tree
-                        .insert((*epoch, *origin), crate::rb::RbPayload::digest(msg));
-                    let me = net.me();
-                    for &(a, b) in edges {
-                        if a == me || b == me {
-                            self.incident_updates.insert(ordered(a, b));
-                        }
-                    }
-                    if *ttl > 1 {
-                        net.send(Outgoing::Broadcast(RepairMsg::TreeAdvert(
-                            *epoch,
-                            *origin,
-                            edges.clone(),
-                            ttl - 1,
-                        )));
-                    }
-                } else {
-                    self.last_rx = DropCause::Dedup;
-                }
-            }
+        }
+        if let Some(next) = msg.relayed() {
+            net.send(Outgoing::Broadcast(next));
         }
     }
 
@@ -814,6 +909,7 @@ pub fn restabilise_flood(engine: &RspanEngine, delta: &SpannerDelta) -> Incremen
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::{BufferedTransport, PendingOps};
     use rspan_core::{rem_span, verify_remote_stretch, StretchGuarantee};
     use rspan_graph::generators::er::gnp_connected;
     use rspan_graph::generators::structured::{cycle_graph, grid_graph, path_graph, petersen};
@@ -1002,16 +1098,17 @@ mod tests {
         assert_eq!(RemSpanMsg::LinkState(0, vec![1, 2, 3], 2).wire_bytes(), 24);
         assert_eq!(RemSpanMsg::TreeAdvert(0, vec![(0, 1)], 2).wire_bytes(), 20);
         assert_eq!(
-            RepairMsg::LinkState(9, 0, vec![1, 2], 2).wire_bytes(),
+            RepairMsg::LinkState(9, 0, vec![1, 2].into(), 2).wire_bytes(),
             RemSpanMsg::LinkState(0, vec![1, 2], 2).wire_bytes() + 8
         );
-        assert_eq!(RepairMsg::TreeAdvert(9, 0, vec![], 1).wire_bytes(), 20);
+        assert_eq!(
+            RepairMsg::TreeAdvert(9, 0, vec![].into(), 1).wire_bytes(),
+            20
+        );
     }
 
     #[test]
     fn on_recover_originates_once_and_duplicate_waves_dedup() {
-        use crate::transport::{BufferedTransport, PendingOps};
-
         // A dirty node that was down when its wave began: the first
         // on_recover must originate the armed wave, a second must not.
         let mut dirty = RepairNode::new(2);
@@ -1039,8 +1136,8 @@ mod tests {
         // epoch's frames is absorbed without relays or state changes.
         let mut recv = RepairNode::new(2);
         recv.begin_wave(1, None);
-        let ls = RepairMsg::LinkState(1, 0, vec![1], 2);
-        let ta = RepairMsg::TreeAdvert(1, 0, vec![(0, 1)], 2);
+        let ls = RepairMsg::LinkState(1, 0, vec![1].into(), 2);
+        let ta = RepairMsg::TreeAdvert(1, 0, vec![(0, 1)].into(), 2);
         let mut rops = PendingOps::default();
         let rneighbors = [0 as Node, 2];
         let mut rt = BufferedTransport {
@@ -1051,8 +1148,8 @@ mod tests {
         };
         recv.on_message(&mut rt, 0, &ls);
         recv.on_message(&mut rt, 0, &ta);
-        let accepted_ls = recv.accepted_link_state().clone();
-        let accepted_ta = recv.accepted_tree_adverts().clone();
+        let accepted_ls: HashMap<_, _> = recv.accepted_link_state().into_iter().collect();
+        let accepted_ta: HashMap<_, _> = recv.accepted_tree_adverts().into_iter().collect();
         let relays = rt.ops.sends.len();
         assert!(relays > 0, "the first copy is relayed");
         for _ in 0..3 {
@@ -1060,8 +1157,18 @@ mod tests {
             recv.on_message(&mut rt, 0, &ta);
         }
         assert_eq!(rt.ops.sends.len(), relays, "duplicates are not relayed");
-        assert_eq!(recv.accepted_link_state(), &accepted_ls);
-        assert_eq!(recv.accepted_tree_adverts(), &accepted_ta);
+        assert_eq!(
+            recv.accepted_link_state()
+                .into_iter()
+                .collect::<HashMap<_, _>>(),
+            accepted_ls
+        );
+        assert_eq!(
+            recv.accepted_tree_adverts()
+                .into_iter()
+                .collect::<HashMap<_, _>>(),
+            accepted_ta
+        );
         assert_eq!(recv.refreshed_link_state_count(), 1);
 
         // The origin re-originating the same epoch (a recovered node whose
@@ -1073,7 +1180,7 @@ mod tests {
         // the epoch-2 wave supersedes epoch 1 but keeps its dedup entries
         // (two-epoch window), so replayed epoch-1 frames are absorbed.
         recv.begin_wave(2, None);
-        let ls2 = RepairMsg::LinkState(2, 0, vec![1, 2], 2);
+        let ls2 = RepairMsg::LinkState(2, 0, vec![1, 2].into(), 2);
         recv.on_message(&mut rt, 0, &ls2);
         let digest2 = recv.accepted_link_state()[&(2, 0)];
         let count2 = recv.refreshed_link_state_count();
@@ -1092,7 +1199,7 @@ mod tests {
         // straggler is re-forwarded once, TTL-bounded — but it must never
         // regress the newer wave's accepted state.
         recv.begin_wave(9, None);
-        let ls9 = RepairMsg::LinkState(9, 0, vec![1, 2], 2);
+        let ls9 = RepairMsg::LinkState(9, 0, vec![1, 2].into(), 2);
         recv.on_message(&mut rt, 0, &ls9);
         let digest9 = recv.accepted_link_state()[&(9, 0)];
         recv.on_message(&mut rt, 0, &ls);
@@ -1106,5 +1213,427 @@ mod tests {
             !recv.accepted_link_state().contains_key(&(2, 0)),
             "the superseded epoch was garbage-collected"
         );
+    }
+
+    /// A repair frame with owned payloads: `(epoch, origin, list, edges, ttl)`.
+    type Frame = (u64, Node, Vec<Node>, Vec<(Node, Node)>, u32);
+
+    fn frame(msg: RepairMsg) -> Frame {
+        match msg {
+            RepairMsg::LinkState(e, o, list, ttl) => (e, o, list.to_vec(), Vec::new(), ttl),
+            RepairMsg::TreeAdvert(e, o, edges, ttl) => (e, o, Vec::new(), edges.to_vec(), ttl),
+        }
+    }
+
+    /// The frames a callback sent, drained from its buffer.
+    fn sent(ops: &mut PendingOps<RepairMsg>) -> Vec<Frame> {
+        ops.sends
+            .drain(..)
+            .map(|out| match out {
+                Outgoing::Broadcast(msg) => frame(msg),
+                Outgoing::Unicast(..) => panic!("repair floods only broadcast"),
+            })
+            .collect()
+    }
+
+    /// Reference model of the wave table: the seven-container accept and
+    /// prune logic it replaced, verbatim in behaviour (one dedup set, one
+    /// digest map and one best-TTL map per flood kind, plus the refreshed
+    /// set), emitting owned copies of every relayed payload.
+    struct SevenSets {
+        radius: u32,
+        monotone: bool,
+        epoch: u64,
+        dirty_tree: Option<Vec<(Node, Node)>>,
+        originated: bool,
+        seen_ls: HashSet<(u64, Node)>,
+        seen_tree: HashSet<(u64, Node)>,
+        refreshed_link_state: HashSet<(u64, Node)>,
+        incident_updates: HashSet<(Node, Node)>,
+        accepted_ls: HashMap<(u64, Node), u64>,
+        accepted_tree: HashMap<(u64, Node), u64>,
+        best_ls: HashMap<(u64, Node), u32>,
+        best_tree: HashMap<(u64, Node), u32>,
+        last_rx: DropCause,
+    }
+
+    impl SevenSets {
+        fn new(radius: u32, monotone: bool) -> Self {
+            SevenSets {
+                radius,
+                monotone,
+                epoch: 0,
+                dirty_tree: None,
+                originated: true,
+                seen_ls: HashSet::new(),
+                seen_tree: HashSet::new(),
+                refreshed_link_state: HashSet::new(),
+                incident_updates: HashSet::new(),
+                accepted_ls: HashMap::new(),
+                accepted_tree: HashMap::new(),
+                best_ls: HashMap::new(),
+                best_tree: HashMap::new(),
+                last_rx: DropCause::None,
+            }
+        }
+
+        fn begin_wave(&mut self, epoch: u64, dirty_tree: Option<Vec<(Node, Node)>>) {
+            self.epoch = epoch;
+            self.originated = dirty_tree.is_none();
+            self.dirty_tree = dirty_tree;
+            let keep = epoch.saturating_sub(2);
+            self.seen_ls.retain(|&(e, _)| e >= keep);
+            self.seen_tree.retain(|&(e, _)| e >= keep);
+            self.refreshed_link_state.retain(|&(e, _)| e >= keep);
+            self.accepted_ls.retain(|&(e, _), _| e >= keep);
+            self.accepted_tree.retain(|&(e, _), _| e >= keep);
+            self.best_ls.retain(|&(e, _), _| e >= keep);
+            self.best_tree.retain(|&(e, _), _| e >= keep);
+        }
+
+        fn originate(&mut self, me: Node, neighbors: &[Node], out: &mut Vec<RepairMsg>) {
+            self.originated = true;
+            let Some(tree) = self.dirty_tree.clone() else {
+                return;
+            };
+            self.seen_ls.insert((self.epoch, me));
+            self.seen_tree.insert((self.epoch, me));
+            self.best_ls.insert((self.epoch, me), u32::MAX);
+            self.best_tree.insert((self.epoch, me), u32::MAX);
+            self.refreshed_link_state.insert((self.epoch, me));
+            for &(a, b) in &tree {
+                if a == me || b == me {
+                    self.incident_updates.insert(ordered(a, b));
+                }
+            }
+            let ls = RepairMsg::LinkState(self.epoch, me, neighbors.to_vec().into(), self.radius);
+            let ta = RepairMsg::TreeAdvert(self.epoch, me, tree.into(), self.radius);
+            self.accepted_ls
+                .insert((self.epoch, me), crate::rb::RbPayload::digest(&ls));
+            self.accepted_tree
+                .insert((self.epoch, me), crate::rb::RbPayload::digest(&ta));
+            if self.radius == 0 || neighbors.is_empty() {
+                return;
+            }
+            out.push(ls);
+            out.push(ta);
+        }
+
+        fn accept(
+            seen: &mut HashSet<(u64, Node)>,
+            best: &mut HashMap<(u64, Node), u32>,
+            monotone: bool,
+            key: (u64, Node),
+            ttl: u32,
+        ) -> bool {
+            if monotone {
+                let slot = best.entry(key).or_insert(0);
+                if ttl > *slot {
+                    *slot = ttl;
+                    seen.insert(key);
+                    true
+                } else {
+                    false
+                }
+            } else {
+                seen.insert(key)
+            }
+        }
+
+        fn on_message(&mut self, me: Node, msg: &RepairMsg, out: &mut Vec<RepairMsg>) {
+            self.last_rx = DropCause::None;
+            match msg {
+                RepairMsg::LinkState(epoch, origin, list, ttl) => {
+                    let key = (*epoch, *origin);
+                    if Self::accept(
+                        &mut self.seen_ls,
+                        &mut self.best_ls,
+                        self.monotone,
+                        key,
+                        *ttl,
+                    ) {
+                        self.refreshed_link_state.insert(key);
+                        self.accepted_ls
+                            .insert(key, crate::rb::RbPayload::digest(msg));
+                        if *ttl > 1 {
+                            let copy: Vec<Node> = list.to_vec();
+                            out.push(RepairMsg::LinkState(*epoch, *origin, copy.into(), ttl - 1));
+                        }
+                    } else {
+                        self.last_rx = DropCause::Dedup;
+                    }
+                }
+                RepairMsg::TreeAdvert(epoch, origin, edges, ttl) => {
+                    let key = (*epoch, *origin);
+                    if Self::accept(
+                        &mut self.seen_tree,
+                        &mut self.best_tree,
+                        self.monotone,
+                        key,
+                        *ttl,
+                    ) {
+                        self.accepted_tree
+                            .insert(key, crate::rb::RbPayload::digest(msg));
+                        for &(a, b) in edges.iter() {
+                            if a == me || b == me {
+                                self.incident_updates.insert(ordered(a, b));
+                            }
+                        }
+                        if *ttl > 1 {
+                            let copy: Vec<(Node, Node)> = edges.to_vec();
+                            out.push(RepairMsg::TreeAdvert(*epoch, *origin, copy.into(), ttl - 1));
+                        }
+                    } else {
+                        self.last_rx = DropCause::Dedup;
+                    }
+                }
+            }
+        }
+    }
+
+    /// SplitMix64: a seeded, dependency-free stream for the model test.
+    struct Mix(u64);
+
+    impl Mix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// Asserts the wave-table node and the reference model agree on every
+    /// observable piece of state.
+    fn assert_same(node: &RepairNode, model: &SevenSets, ctx: &str) {
+        assert_eq!(node.last_rx(), model.last_rx, "{ctx}: last_rx");
+        assert_eq!(node.is_done(), model.originated, "{ctx}: originated");
+        let ls: HashMap<_, _> = node.accepted_link_state().into_iter().collect();
+        assert_eq!(ls, model.accepted_ls, "{ctx}: accepted link state");
+        let ta: HashMap<_, _> = node.accepted_tree_adverts().into_iter().collect();
+        assert_eq!(ta, model.accepted_tree, "{ctx}: accepted tree adverts");
+        let refreshed: HashSet<_> = node.refreshed_link_state().collect();
+        assert_eq!(
+            refreshed, model.refreshed_link_state,
+            "{ctx}: refreshed set"
+        );
+        assert_eq!(
+            node.refreshed_link_state_count(),
+            model.refreshed_link_state.len()
+        );
+        assert_eq!(
+            node.incident_updates(),
+            &model.incident_updates,
+            "{ctx}: incident updates"
+        );
+    }
+
+    #[test]
+    fn wave_table_matches_the_seven_container_model() {
+        const ME: Node = 0;
+        let neighbor_sets: [&[Node]; 2] = [&[1, 2, 3], &[]];
+        // Small payload pools so equal-key frames both repeat and differ.
+        let lists: [Vec<Node>; 3] = [vec![1, 2], vec![0, 3], vec![]];
+        let trees: [Vec<(Node, Node)>; 3] = [vec![(0, 1), (1, 4)], vec![(2, 3)], vec![(0, 4)]];
+        for seed in 0..48u64 {
+            for monotone in [false, true] {
+                let mut rng = Mix(seed);
+                let radius = rng.below(4) as u32;
+                let neighbors = neighbor_sets[(seed % 5 == 4) as usize];
+                let mut node = if monotone {
+                    RepairNode::with_monotone(radius)
+                } else {
+                    RepairNode::new(radius)
+                };
+                let mut model = SevenSets::new(radius, monotone);
+                let mut ops = PendingOps::default();
+                let mut history: Vec<RepairMsg> = Vec::new();
+                let mut epoch = 1u64;
+                for step in 0..300 {
+                    let ctx = format!("seed {seed} monotone {monotone} step {step}");
+                    let mut expect = Vec::new();
+                    let mut t = BufferedTransport {
+                        me: ME,
+                        now: step,
+                        neighbors,
+                        ops: &mut ops,
+                    };
+                    match rng.below(20) {
+                        0 | 1 => {
+                            epoch += [0, 1, 1, 2, 5][rng.below(5) as usize];
+                            let tree =
+                                (rng.below(5) < 2).then(|| trees[rng.below(3) as usize].clone());
+                            node.begin_wave(epoch, tree.clone());
+                            model.begin_wave(epoch, tree);
+                        }
+                        2 => {
+                            node.originate(&mut t);
+                            model.originate(ME, neighbors, &mut expect);
+                        }
+                        3 => {
+                            node.on_recover(&mut t);
+                            if !model.originated {
+                                model.originate(ME, neighbors, &mut expect);
+                            }
+                        }
+                        _ => {
+                            let msg = if !history.is_empty() && rng.below(4) == 0 {
+                                history[rng.below(history.len() as u64) as usize].clone()
+                            } else {
+                                let e = (epoch + 1).saturating_sub(rng.below(6));
+                                // Origin 0 is this node: its own flood echoed back.
+                                let o = rng.below(4) as Node;
+                                let ttl = rng.below(u64::from(radius) + 2) as u32;
+                                if rng.below(2) == 0 {
+                                    let list = lists[rng.below(3) as usize].clone();
+                                    RepairMsg::LinkState(e, o, list.into(), ttl)
+                                } else {
+                                    let tree = trees[rng.below(3) as usize].clone();
+                                    RepairMsg::TreeAdvert(e, o, tree.into(), ttl)
+                                }
+                            };
+                            node.on_message(&mut t, 1, &msg);
+                            model.on_message(ME, &msg, &mut expect);
+                            history.push(msg);
+                        }
+                    }
+                    assert_eq!(
+                        sent(&mut ops),
+                        expect.into_iter().map(frame).collect::<Vec<_>>(),
+                        "{ctx}: sent frames"
+                    );
+                    assert_same(&node, &model, &ctx);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn monotone_rejects_a_new_key_at_ttl_zero() {
+        // An empty slot counts as TTL 0 in monotone mode, so a first frame
+        // at ttl 0 does not improve it; first-copy mode accepts any new key.
+        let frames = [
+            RepairMsg::LinkState(1, 3, vec![1].into(), 0),
+            RepairMsg::TreeAdvert(1, 3, vec![(0, 3)].into(), 0),
+        ];
+        for monotone in [false, true] {
+            let mut node = if monotone {
+                RepairNode::with_monotone(2)
+            } else {
+                RepairNode::new(2)
+            };
+            let mut model = SevenSets::new(2, monotone);
+            node.begin_wave(1, None);
+            model.begin_wave(1, None);
+            let mut ops = PendingOps::default();
+            let neighbors = [1 as Node];
+            for msg in &frames {
+                let mut t = BufferedTransport {
+                    me: 0,
+                    now: 0,
+                    neighbors: &neighbors,
+                    ops: &mut ops,
+                };
+                node.on_message(&mut t, 1, msg);
+                let mut expect = Vec::new();
+                model.on_message(0, msg, &mut expect);
+                let want = if monotone {
+                    DropCause::Dedup
+                } else {
+                    DropCause::None
+                };
+                assert_eq!(node.last_rx(), want, "monotone {monotone}");
+                assert_same(&node, &model, &format!("monotone {monotone}"));
+                assert!(sent(&mut ops).is_empty(), "a ttl-0 frame is never relayed");
+            }
+            assert_eq!(node.has_refreshed(1, 3), !monotone);
+            assert_eq!(
+                node.accepted_tree_adverts().contains_key(&(1, 3)),
+                !monotone
+            );
+            // A later copy with a positive TTL is accepted in both modes.
+            let mut t = BufferedTransport {
+                me: 0,
+                now: 1,
+                neighbors: &neighbors,
+                ops: &mut ops,
+            };
+            node.on_message(&mut t, 1, &RepairMsg::LinkState(1, 3, vec![1].into(), 1));
+            assert!(node.has_refreshed(1, 3));
+        }
+    }
+
+    #[test]
+    fn relays_and_reoriginations_share_payloads() {
+        let neighbors = [0 as Node, 2];
+        for monotone in [false, true] {
+            let mut node = if monotone {
+                RepairNode::with_monotone(3)
+            } else {
+                RepairNode::new(3)
+            };
+            node.begin_wave(1, None);
+            let list: Arc<[Node]> = vec![1, 5].into();
+            let edges: Arc<[(Node, Node)]> = vec![(0, 1), (0, 5)].into();
+            let mut ops = PendingOps::default();
+            let mut t = BufferedTransport {
+                me: 1,
+                now: 0,
+                neighbors: &neighbors,
+                ops: &mut ops,
+            };
+            node.on_message(&mut t, 0, &RepairMsg::LinkState(1, 0, Arc::clone(&list), 3));
+            node.on_message(
+                &mut t,
+                0,
+                &RepairMsg::TreeAdvert(1, 0, Arc::clone(&edges), 3),
+            );
+            match &ops.sends[..] {
+                [Outgoing::Broadcast(RepairMsg::LinkState(1, 0, l, 2)), Outgoing::Broadcast(RepairMsg::TreeAdvert(1, 0, e, 2))] =>
+                {
+                    assert!(Arc::ptr_eq(l, &list), "link-state relay copied its payload");
+                    assert!(
+                        Arc::ptr_eq(e, &edges),
+                        "tree-advert relay copied its payload"
+                    );
+                }
+                other => panic!("expected one relay per kind, got {other:?}"),
+            }
+        }
+
+        // A dirty node down at wave start originates on recovery, sending
+        // the wave's own tree allocation; re-originating sends it again.
+        let mut dirty = RepairNode::new(2);
+        dirty.begin_wave(1, Some(vec![(0, 1)]));
+        let wave_tree = Arc::clone(dirty.dirty_tree.as_ref().expect("armed dirty"));
+        let mut ops = PendingOps::default();
+        let mut t = BufferedTransport {
+            me: 0,
+            now: 0,
+            neighbors: &neighbors,
+            ops: &mut ops,
+        };
+        dirty.on_recover(&mut t);
+        dirty.originate(&mut t);
+        let adverts: Vec<&Arc<[(Node, Node)]>> = ops
+            .sends
+            .iter()
+            .filter_map(|out| match out {
+                Outgoing::Broadcast(RepairMsg::TreeAdvert(_, _, e, _)) => Some(e),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(adverts.len(), 2);
+        for e in adverts {
+            assert!(
+                Arc::ptr_eq(e, &wave_tree),
+                "origination copied the wave's tree"
+            );
+        }
     }
 }

@@ -179,14 +179,14 @@ impl RbPayload for RepairMsg {
         match self {
             RepairMsg::LinkState(e, o, list, _) => {
                 let mut h = Fnv64::new().write_u64(0).write_u64(*e).write_node(*o);
-                for &v in list {
+                for &v in list.iter() {
                     h = h.write_node(v);
                 }
                 h.finish()
             }
             RepairMsg::TreeAdvert(e, o, edges, _) => {
                 let mut h = Fnv64::new().write_u64(1).write_u64(*e).write_node(*o);
-                for &(a, b) in edges {
+                for &(a, b) in edges.iter() {
                     h = h.write_node(a).write_node(b);
                 }
                 h.finish()
@@ -833,19 +833,19 @@ mod tests {
 
     #[test]
     fn repair_payload_identity_ignores_ttl() {
-        let a = RepairMsg::LinkState(4, 2, vec![1, 3], 5);
-        let b = RepairMsg::LinkState(4, 2, vec![1, 3], 1);
+        let a = RepairMsg::LinkState(4, 2, vec![1, 3].into(), 5);
+        let b = RepairMsg::LinkState(4, 2, vec![1, 3].into(), 1);
         assert_eq!(a.digest(), b.digest());
         assert_eq!(key_of(&a), (2, 4, 0));
-        let c = RepairMsg::LinkState(4, 2, vec![1, 4], 5);
+        let c = RepairMsg::LinkState(4, 2, vec![1, 4].into(), 5);
         assert_ne!(a.digest(), c.digest(), "content must move the digest");
-        let t = RepairMsg::TreeAdvert(4, 2, vec![(1, 3)], 5);
+        let t = RepairMsg::TreeAdvert(4, 2, vec![(1, 3)].into(), 5);
         assert_eq!(key_of(&t), (2, 4, 1), "slots keep the two floods apart");
     }
 
     #[test]
     fn rb_wire_sizes_add_the_auth_overhead() {
-        let p = RepairMsg::LinkState(1, 0, vec![1, 2], 3);
+        let p = RepairMsg::LinkState(1, 0, vec![1, 2].into(), 3);
         assert_eq!(
             RbMsg::Init(p.clone(), 0, 3).wire_bytes(),
             p.wire_bytes() + 16
@@ -951,10 +951,10 @@ mod tests {
         node.advance_epoch(1);
         node.inner_mut().begin_wave(1, None);
 
-        let genuine = RepairMsg::LinkState(1, 0, vec![1, 2], 2);
+        let genuine = RepairMsg::LinkState(1, 0, vec![1, 2].into(), 2);
         let mac = auth.tag(0, mac_data(KIND_INIT, genuine.digest()));
         // A Byzantine relay swapped the neighbor list but cannot re-sign.
-        let forged = RepairMsg::LinkState(1, 0, vec![1, 3], 2);
+        let forged = RepairMsg::LinkState(1, 0, vec![1, 3].into(), 2);
 
         let mut ops = PendingOps::default();
         let neighbors = [0 as Node, 2, 3];
@@ -976,7 +976,7 @@ mod tests {
 
         // A stale replay (epoch fell out of the retain window) is rejected.
         node.advance_epoch(9);
-        let old = RepairMsg::LinkState(1, 0, vec![1, 2], 2);
+        let old = RepairMsg::LinkState(1, 0, vec![1, 2].into(), 2);
         let old_mac = auth.tag(0, mac_data(KIND_INIT, old.digest()));
         node.on_message(&mut t, 0, &RbMsg::Init(old, old_mac, 4));
         assert_eq!(node.stats().rejected_stale, 1);
@@ -993,8 +993,8 @@ mod tests {
         node.advance_epoch(1);
         node.inner_mut().begin_wave(1, None);
 
-        let a = RepairMsg::LinkState(1, 0, vec![1], 2);
-        let b = RepairMsg::LinkState(1, 0, vec![2], 2);
+        let a = RepairMsg::LinkState(1, 0, vec![1].into(), 2);
+        let b = RepairMsg::LinkState(1, 0, vec![2].into(), 2);
         let mac_a = auth.tag(0, mac_data(KIND_INIT, a.digest()));
         let mac_b = auth.tag(0, mac_data(KIND_INIT, b.digest()));
 

@@ -231,22 +231,14 @@ pub fn repair_end_state(nodes: &[RepairNode]) -> Vec<NodeEndState> {
     nodes
         .iter()
         .map(|node| {
-            let mut refreshed_link_state: Vec<_> =
-                node.refreshed_link_state().iter().copied().collect();
+            let mut refreshed_link_state: Vec<_> = node.refreshed_link_state().collect();
             refreshed_link_state.sort_unstable();
             let mut incident_updates: Vec<_> = node.incident_updates().iter().copied().collect();
             incident_updates.sort_unstable();
-            let mut accepted_link_state: Vec<_> = node
-                .accepted_link_state()
-                .iter()
-                .map(|(&k, &v)| (k, v))
-                .collect();
+            let mut accepted_link_state: Vec<_> = node.accepted_link_state().into_iter().collect();
             accepted_link_state.sort_unstable();
-            let mut accepted_tree_adverts: Vec<_> = node
-                .accepted_tree_adverts()
-                .iter()
-                .map(|(&k, &v)| (k, v))
-                .collect();
+            let mut accepted_tree_adverts: Vec<_> =
+                node.accepted_tree_adverts().into_iter().collect();
             accepted_tree_adverts.sort_unstable();
             NodeEndState {
                 refreshed_link_state,

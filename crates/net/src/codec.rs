@@ -143,7 +143,7 @@ impl WireCodec for RepairMsg {
                 put_u64(buf, *epoch);
                 put_u32(buf, *origin);
                 put_u32(buf, *ttl);
-                for &v in list {
+                for &v in list.iter() {
                     put_u32(buf, v);
                 }
             }
@@ -152,7 +152,7 @@ impl WireCodec for RepairMsg {
                 put_u64(buf, *epoch);
                 put_u32(buf, *origin);
                 put_u32(buf, *ttl);
-                for &(a, b) in edges {
+                for &(a, b) in edges.iter() {
                     put_u32(buf, a);
                     put_u32(buf, b);
                 }
@@ -167,13 +167,13 @@ impl WireCodec for RepairMsg {
                 let epoch = r.u64()?;
                 let origin = r.u32()?;
                 let ttl = r.u32()?;
-                Some(RepairMsg::LinkState(epoch, origin, r.nodes()?, ttl))
+                Some(RepairMsg::LinkState(epoch, origin, r.nodes()?.into(), ttl))
             }
             REPAIR_TREE_ADVERT => {
                 let epoch = r.u64()?;
                 let origin = r.u32()?;
                 let ttl = r.u32()?;
-                Some(RepairMsg::TreeAdvert(epoch, origin, r.edges()?, ttl))
+                Some(RepairMsg::TreeAdvert(epoch, origin, r.edges()?.into(), ttl))
             }
             _ => None,
         }
@@ -218,12 +218,12 @@ mod tests {
 
     #[test]
     fn repair_roundtrips_at_accounted_size() {
-        match roundtrip(RepairMsg::LinkState(9, 0, vec![1, 2], 2)) {
-            RepairMsg::LinkState(9, 0, list, 2) => assert_eq!(list, vec![1, 2]),
+        match roundtrip(RepairMsg::LinkState(9, 0, vec![1, 2].into(), 2)) {
+            RepairMsg::LinkState(9, 0, list, 2) => assert_eq!(list[..], [1, 2]),
             other => panic!("bad roundtrip: {other:?}"),
         }
-        match roundtrip(RepairMsg::TreeAdvert(u64::MAX, 3, vec![(0, 1)], 4)) {
-            RepairMsg::TreeAdvert(u64::MAX, 3, edges, 4) => assert_eq!(edges, vec![(0, 1)]),
+        match roundtrip(RepairMsg::TreeAdvert(u64::MAX, 3, vec![(0, 1)].into(), 4)) {
+            RepairMsg::TreeAdvert(u64::MAX, 3, edges, 4) => assert_eq!(edges[..], [(0, 1)]),
             other => panic!("bad roundtrip: {other:?}"),
         }
     }
@@ -234,7 +234,7 @@ mod tests {
         assert!(RepairMsg::decode(&99u32.to_le_bytes()).is_none());
         // A repair link-state whose list bytes are not a multiple of 4.
         let mut buf = Vec::new();
-        RepairMsg::LinkState(1, 0, vec![2], 1).encode(&mut buf);
+        RepairMsg::LinkState(1, 0, vec![2].into(), 1).encode(&mut buf);
         assert!(RepairMsg::decode(&buf[..buf.len() - 1]).is_none());
         // Trailing garbage after a Hello.
         let mut buf = Vec::new();

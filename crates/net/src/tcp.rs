@@ -21,6 +21,8 @@
 //! equals `WireSize::wire_bytes`.  `sent_nanos` is on the shared
 //! [`TickClock`] nanosecond base, giving the send-to-receive latency
 //! histogram without cross-machine clock agreement (loopback only).
+//! A header announcing more than the largest legal frame for the cluster's `n`
+//! is rejected and its connection closed before any payload buffer grows.
 
 use crate::clock::TickClock;
 use crate::codec::WireCodec;
@@ -49,6 +51,15 @@ const MAX_RECONNECTS: u32 = 5;
 
 /// Header: `[u32 len][u32 from][u64 sent_nanos]`.
 const HEADER_BYTES: usize = 16;
+
+/// The largest legal payload on an `n`-node cluster: a repair tree advert
+/// listing every edge of the complete graph, `20 + 8 · n(n − 1)/2` bytes.
+/// It bounds every other frame too — a neighbour list holds at most `n − 1`
+/// ids and the plain protocol's layouts are smaller than the repair ones.
+fn max_frame_bytes(n: usize) -> u64 {
+    let n = n as u64;
+    20 + 4 * n * n.saturating_sub(1)
+}
 
 fn encode_frame<M: WireCodec>(from: Node, sent_nanos: u64, msg: &M) -> Vec<u8> {
     let payload = msg.wire_bytes() as usize;
@@ -141,8 +152,10 @@ where
 }
 
 /// Reads length-prefixed frames off one accepted connection and forwards
-/// them into the node's command queue.
-fn reader_loop<P>(mut stream: TcpStream, tx: Sender<NodeCmd<P>>)
+/// them into the node's command queue.  A header announcing more than
+/// `max_len` payload bytes closes the connection: no honest peer sends one,
+/// and trusting it would let one bad header allocate up to 4 GiB.
+fn reader_loop<P>(mut stream: TcpStream, tx: Sender<NodeCmd<P>>, max_len: u64)
 where
     P: ProtocolNode,
     P::Msg: WireCodec,
@@ -153,7 +166,11 @@ where
         if stream.read_exact(&mut header).is_err() {
             return; // EOF: peer closed (teardown) or connection reset
         }
-        let len = u32::from_le_bytes(header[0..4].try_into().unwrap()) as usize;
+        let len = u32::from_le_bytes(header[0..4].try_into().unwrap());
+        if u64::from(len) > max_len {
+            return; // dropping the stream closes the connection
+        }
+        let len = len as usize;
         let from = u32::from_le_bytes(header[4..8].try_into().unwrap());
         let sent_nanos = u64::from_le_bytes(header[8..16].try_into().unwrap());
         payload.resize(len, 0);
@@ -195,6 +212,7 @@ where
     F: FnMut(Node) -> P,
 {
     let n = neighbors.len();
+    let max_len = max_frame_bytes(n);
     let clock = Arc::new(TickClock::new(tick));
     let inflight = Arc::new(InFlight::new(tel.clone()));
     let shutdown = Arc::new(AtomicBool::new(false));
@@ -233,7 +251,7 @@ where
                         let _ = std::thread::Builder::new()
                             .name("rspan-rd".to_owned())
                             .stack_size(IO_STACK)
-                            .spawn(move || reader_loop::<P>(stream, tx));
+                            .spawn(move || reader_loop::<P>(stream, tx, max_len));
                     }
                 })
                 .expect("spawn accept thread"),
@@ -287,4 +305,59 @@ where
     });
 
     Cluster::from_parts(senders, handles, inflight, clock, Some(teardown))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rspan_distributed::{RepairMsg, RepairNode, WireSize};
+    use std::sync::mpsc::channel;
+
+    #[test]
+    fn frame_cap_covers_the_largest_legal_frames() {
+        let n = 5;
+        let complete: Vec<(Node, Node)> = (0..n)
+            .flat_map(|a| (a + 1..n).map(move |b| (a, b)))
+            .collect();
+        let tree = RepairMsg::TreeAdvert(u64::MAX, 0, complete.into(), u32::MAX);
+        assert_eq!(tree.wire_bytes(), max_frame_bytes(n as usize));
+        let list = RepairMsg::LinkState(u64::MAX, 0, (1..n).collect::<Vec<_>>().into(), 1);
+        assert!(list.wire_bytes() <= max_frame_bytes(n as usize));
+        assert_eq!(max_frame_bytes(1), 20);
+        assert_eq!(max_frame_bytes(0), 20);
+    }
+
+    #[test]
+    fn oversized_header_closes_the_connection() {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind loopback");
+        let addr = listener.local_addr().unwrap();
+        let (tx, rx) = channel::<NodeCmd<RepairNode>>();
+        let reader = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().expect("accept");
+            reader_loop::<RepairNode>(stream, tx, max_frame_bytes(4));
+        });
+        let mut client = TcpStream::connect(addr).expect("connect");
+        client
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        // One legal frame first: it must still be delivered.
+        let legal = RepairMsg::LinkState(1, 2, vec![0, 3].into(), 2);
+        client.write_all(&encode_frame(2, 0, &legal)).unwrap();
+        // Then a header claiming a 4 GiB payload.
+        let mut bad = Vec::new();
+        bad.extend_from_slice(&u32::MAX.to_le_bytes());
+        bad.extend_from_slice(&1u32.to_le_bytes());
+        bad.extend_from_slice(&0u64.to_le_bytes());
+        client.write_all(&bad).unwrap();
+        reader.join().expect("reader returns instead of allocating");
+        let mut buf = [0u8; 1];
+        assert_eq!(client.read(&mut buf).unwrap(), 0, "connection closed");
+        match rx.recv().expect("the legal frame was forwarded") {
+            NodeCmd::Deliver { from: 2, msg, .. } => {
+                assert!(matches!(msg, RepairMsg::LinkState(1, 2, ref l, 2) if l[..] == [0, 3]));
+            }
+            _ => panic!("expected the legal frame"),
+        }
+        assert!(rx.recv().is_err(), "nothing after the rejected header");
+    }
 }

@@ -31,7 +31,6 @@ use rspan_engine::{ChurnScenario, RspanEngine, SpannerDelta};
 use rspan_graph::{bfs_into, CsrGraph, Node, Subgraph, TraversalScratch};
 use rspan_obs::{ObsConfig, ObsEvent, ObsHandle, ObsReport};
 use rspan_telemetry::{Histogram, TelemetryHandle, TelemetrySnapshot};
-use std::collections::HashMap;
 use std::time::Instant;
 
 /// XOR-folded into the simulator seed to derive the [`SeededAuth`] master
@@ -206,10 +205,8 @@ fn agreement_over<'a>(
 ) -> (usize, usize) {
     let nodes: Vec<&RepairNode> = nodes.collect();
     let byz = plan.byzantine_nodes();
-    let ls: Vec<&HashMap<(u64, Node), u64>> =
-        nodes.iter().map(|n| n.accepted_link_state()).collect();
-    let ta: Vec<&HashMap<(u64, Node), u64>> =
-        nodes.iter().map(|n| n.accepted_tree_adverts()).collect();
+    let ls: Vec<_> = nodes.iter().map(|n| n.accepted_link_state()).collect();
+    let ta: Vec<_> = nodes.iter().map(|n| n.accepted_tree_adverts()).collect();
     let a = honest_agreement(&ls, &byz);
     let b = honest_agreement(&ta, &byz);
     (a.checks + b.checks, a.violations + b.violations)
