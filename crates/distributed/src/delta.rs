@@ -49,7 +49,7 @@
 //! set equals the truly-affected set.  Multiple flips per commit compose:
 //! the in-place support maintenance keeps a skipped row's entries exact
 //! after each flip, so evaluating the next flip against it stays sound, and
-//! a marked row is rebuilt once from the final state.
+//! a marked row is repaired once against the final state.
 //!
 //! The flip scan is **batched row-major**: all of a commit's flips (adds
 //! first, then removals, in delta order) are evaluated row by row in a
@@ -58,18 +58,64 @@
 //! stops at its first marking flip.  Because rows are independent and the
 //! per-row flip order is preserved, the batched pass marks exactly the rows
 //! the one-scan-per-flip order would (the in-place support updates only ever
-//! feed later flips of the *same* row).  On top of the scan, each repair
-//! sweep runs over the router's own **sparse spanner adjacency** (sorted
-//! per-node spanner neighbor lists maintained from the deltas), touching
-//! `O(m_{H_u})` edges instead of filtering all of `G`'s like the
-//! from-scratch build does.  The canonical entries are iteration-order
-//! independent, so the sparse sweep still lands bit-identical.
+//! feed later flips of the *same* row).  On top of the scan, each row
+//! repair runs over the router's own **sparse spanner adjacency** (sorted
+//! per-node spanner neighbor lists maintained from the deltas) instead of
+//! filtering all of `G`'s edges like the from-scratch build does.
+//!
+//! # How a marked row is repaired
+//!
+//! A marked row typically changes in a handful of its `n` entries, so it is
+//! not refilled: the repair is the classical dynamic shortest-path update
+//! (Ramalingam & Reps, *J. Algorithms* 1996) specialised to unit weights and
+//! to the canonical hop and support.  The row's `H_u` flips are the spanner
+//! flips not incident to `u` (an edge at `u` stays in `H_u` through `u`'s own
+//! links while it exists in `G`) and, for a batch endpoint, its batch links
+//! `(u, b)` — added if present after the commit, removed otherwise.  Three
+//! phases run against the post-commit `H_u`, each over one reused
+//! `(dist, node)` min-heap:
+//!
+//! 1. **Lost predecessors.**  With the old labels, in increasing distance,
+//!    a candidate `z` at depth `d` is *lost* when no neighbour at `d − 1` is
+//!    still unaffected; a lost node's dist is cleared at once, so later
+//!    checks see only unaffected predecessors, and its depth-`d + 1`
+//!    neighbours become candidates.  Seeds are the deeper endpoint of each
+//!    removed flip with `Δdist = 1` and each removed batch link `(u, b)` with
+//!    `b` at depth 1 — every edge that was someone's predecessor link.  A
+//!    node that is never a candidate kept all its predecessor links and
+//!    predecessors, so its old distance is still realised.
+//! 2. **Re-settle distances.**  Each lost node starts from its unaffected
+//!    neighbours (`min dist + 1`), the endpoints of added flips and `u` (for
+//!    added batch links) are pushed as shortcuts, and unit-weight relaxation
+//!    runs to a fixpoint.  Every value is realised by some path, and the
+//!    fixpoint satisfies `dist(w) ≤ dist(v) + 1` on every edge (the only
+//!    edges that could violate it start at a pushed node), so the result is
+//!    exactly `d_{H_u}`.
+//! 3. **Re-derive hops and supports.**  A node's canonical hop and support
+//!    are functions of its distance, its incident edges and the hops of its
+//!    neighbours one level up.  So, in increasing new distance, every touched
+//!    node (lost or lowered), every neighbour of one and every flip endpoint
+//!    is recomputed — depth 1 gives `(v, 1)`, a deeper node the min and
+//!    count over its spanner neighbours at `d − 1` — and a node whose hop
+//!    changed queues its successors.  Predecessors always settle first, so
+//!    every recomputed entry reads final inputs; every other entry has
+//!    unchanged inputs.  A batch link's far endpoint needs no extra seed:
+//!    its distance moves to or from 1, so it is touched.
+//!
+//! The flip scan may already have adjusted some supports of a row before
+//! marking it.  It only ever writes the deeper endpoint of a flip, which
+//! phase 3 recomputes from scratch, so those partial updates are
+//! overwritten rather than trusted.  The result is pinned against a fresh
+//! [`DeltaRouter::new`] (tables *and* supports) in the unit tests, and debug
+//! builds refill the last repaired row of every commit and assert equality.
 
 use crate::tables::{fill_row, RoutingTables, NO_HOP, UNREACH};
 use rspan_engine::{RspanEngine, SpannerDelta, TopologyChange};
 use rspan_graph::{sorted_insert, sorted_remove, Adjacency, EpochFlags, Node};
 use rspan_obs::{ObsEvent, ObsHandle, Phase};
 use rspan_telemetry::{Counter, Hist, Span, TelemetryHandle};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::time::Instant;
 
 /// The augmented view `H_u` assembled from the router's own spanner
@@ -145,7 +191,8 @@ impl Adjacency for SparseView<'_> {
 pub struct RepairStats {
     /// Router epoch after the repair (mirrors the consumed delta's epoch).
     pub epoch: u64,
-    /// Rows recomputed by this repair.
+    /// Rows repaired in place by this repair (each marked row is
+    /// repaired locally, not refilled).
     pub rows_recomputed: usize,
     /// Topology changes in the consumed batch.
     pub batch_changes: usize,
@@ -155,7 +202,7 @@ pub struct RepairStats {
 }
 
 impl RepairStats {
-    /// Fraction of rows this repair had to recompute.
+    /// Fraction of rows this repair touched.
     pub fn repaired_fraction(&self, n: usize) -> f64 {
         self.rows_recomputed as f64 / n.max(1) as f64
     }
@@ -186,6 +233,17 @@ pub struct DeltaRouter {
     /// The commit's spanner flips flattened for the batched row-major scan:
     /// `(x, y, is_add)`, adds first, both groups in delta order.
     flips: Vec<(Node, Node, bool)>,
+    /// The batch's links as `(endpoint, other)`, both orientations, sorted
+    /// and deduplicated: the `H_u` source-link flips of each batch row.
+    batch_links: Vec<(Node, Node)>,
+    /// `(dist, node)` min-heap shared by the three phases of a row repair.
+    heap: BinaryHeap<Reverse<(u32, Node)>>,
+    /// Phase 1: candidates examined; phase 3: nodes queued.
+    seen: EpochFlags,
+    /// Nodes whose distance entry the current row repair rewrote: after
+    /// phase 1 exactly the lost nodes, then also those phase 2 lowered.
+    touched: EpochFlags,
+    touched_list: Vec<Node>,
     tel: TelemetryHandle,
 }
 
@@ -219,6 +277,11 @@ impl DeltaRouter {
             affected: EpochFlags::new(),
             affected_rows: Vec::new(),
             flips: Vec::new(),
+            batch_links: Vec::new(),
+            heap: BinaryHeap::new(),
+            seen: EpochFlags::new(),
+            touched: EpochFlags::new(),
+            touched_list: Vec::new(),
             tel: TelemetryHandle::off(),
         };
         for u in 0..n as Node {
@@ -227,18 +290,23 @@ impl DeltaRouter {
         router
     }
 
-    /// Recomputes row `u` over the sparse spanner adjacency, with the
-    /// source's incident edges read from the engine's live topology.
-    fn fill(&mut self, engine: &RspanEngine, u: Node) {
-        let n = self.n;
+    /// Loads the source's incident edges from the engine's live topology
+    /// into `src_neighbors` / `src_adj`.
+    fn load_source(&mut self, engine: &RspanEngine, u: Node) {
         self.src_neighbors.clear();
         engine
             .graph()
             .for_each_neighbor(u, &mut |v| self.src_neighbors.push(v));
-        self.src_adj.begin(n);
+        self.src_adj.begin(self.n);
         for &v in &self.src_neighbors {
             self.src_adj.set(v);
         }
+    }
+
+    /// Recomputes row `u` from scratch over the sparse spanner adjacency.
+    fn fill(&mut self, engine: &RspanEngine, u: Node) {
+        let n = self.n;
+        self.load_source(engine, u);
         let view = SparseView {
             n,
             spanner_adj: &self.spanner_adj,
@@ -255,6 +323,191 @@ impl DeltaRouter {
             &mut self.tables.dist[row..row + n],
             &mut self.support[row..row + n],
         );
+    }
+
+    /// Repairs row `u` in place against the post-commit `H_u` (see "How a
+    /// marked row is repaired" in the module docs).  The row still holds
+    /// the pre-commit labels, apart from support counts the flip scan
+    /// adjusted at flip endpoints; the spanner adjacency is already
+    /// post-commit.
+    fn repair_row(&mut self, engine: &RspanEngine, u: Node) {
+        let n = self.n;
+        self.load_source(engine, u);
+        let row = u as usize * n;
+        let dist = &mut self.tables.dist[row..row + n];
+        let next = &mut self.tables.next[row..row + n];
+        let support = &mut self.support[row..row + n];
+        let adj = &self.spanner_adj;
+        let src_adj = &self.src_adj;
+        let heap = &mut self.heap;
+        let seen = &mut self.seen;
+        let touched = &mut self.touched;
+        let touched_list = &mut self.touched_list;
+        // `H_u` edge flips: spanner flips away from `u` (one incident to `u`
+        // never changes `H_u`, which holds all of `u`'s `G`-links), and the
+        // batch's links at `u`, added when present after the commit.
+        let flips = self.flips.iter().filter(|&&(x, y, _)| x != u && y != u);
+        let start = self.batch_links.partition_point(|&(a, _)| a < u);
+        let end = self.batch_links.partition_point(|&(a, _)| a <= u);
+        let links = &self.batch_links[start..end];
+        heap.clear();
+        touched_list.clear();
+        seen.begin(n);
+        touched.begin(n);
+
+        // Phase 1: in increasing old distance, find the nodes left without
+        // an unaffected predecessor.  Seeds are the deeper endpoints of the
+        // removed edges that were predecessor links.
+        let removed = flips
+            .clone()
+            .filter(|&&(_, _, is_add)| !is_add)
+            .map(|&(x, y, _)| (x, y))
+            .chain(links.iter().filter(|&&(_, b)| !src_adj.test(b)).copied());
+        for (x, y) in removed {
+            let (dx, dy) = (dist[x as usize], dist[y as usize]);
+            let (dlo, hi, dhi) = if dx < dy { (dx, y, dy) } else { (dy, x, dx) };
+            if dhi != UNREACH && dhi == dlo + 1 && seen.set(hi) {
+                heap.push(Reverse((dhi, hi)));
+            }
+        }
+        while let Some(Reverse((d, z))) = heap.pop() {
+            // Affected nodes already read `UNREACH`, so this only finds
+            // unaffected predecessors.  At depth ≥ 2 they are all spanner
+            // neighbours (`u` itself sits at depth 0).
+            let keeps = if d == 1 {
+                src_adj.test(z)
+            } else {
+                adj[z as usize].iter().any(|&w| dist[w as usize] == d - 1)
+            };
+            if keeps {
+                continue;
+            }
+            dist[z as usize] = UNREACH;
+            touched.set(z);
+            touched_list.push(z);
+            for &s in &adj[z as usize] {
+                if dist[s as usize] == d + 1 && seen.set(s) {
+                    heap.push(Reverse((d + 1, s)));
+                }
+            }
+        }
+
+        // Phase 2: re-settle distances.  Lost nodes start from their
+        // unaffected neighbours, added edges act as shortcuts, and
+        // unit-weight relaxation closes every edge left inconsistent.
+        for &z in touched_list.iter() {
+            let mut est = if src_adj.test(z) { 1 } else { UNREACH };
+            for &w in &adj[z as usize] {
+                let dw = dist[w as usize];
+                if dw != UNREACH {
+                    est = est.min(dw + 1);
+                }
+            }
+            if est != UNREACH {
+                dist[z as usize] = est;
+                heap.push(Reverse((est, z)));
+            }
+        }
+        for &(x, y, _) in flips.clone().filter(|&&(_, _, is_add)| is_add) {
+            for v in [x, y] {
+                if dist[v as usize] != UNREACH {
+                    heap.push(Reverse((dist[v as usize], v)));
+                }
+            }
+        }
+        if links.iter().any(|&(_, b)| src_adj.test(b)) {
+            heap.push(Reverse((0, u)));
+        }
+        while let Some(Reverse((d, v))) = heap.pop() {
+            if dist[v as usize] != d {
+                continue; // superseded by a shorter entry
+            }
+            // Relaxation never reaches `u`, so the spanner neighbours are
+            // all of a non-source node's relaxable `H_u` neighbours.
+            let neighbours = if v == u {
+                &self.src_neighbors[..]
+            } else {
+                &adj[v as usize][..]
+            };
+            for &w in neighbours {
+                if d + 1 < dist[w as usize] {
+                    dist[w as usize] = d + 1;
+                    if touched.set(w) {
+                        touched_list.push(w);
+                    }
+                    heap.push(Reverse((d + 1, w)));
+                }
+            }
+        }
+
+        // Phase 3: in distance order, re-derive the canonical hop and
+        // support of every node whose predecessor set may have changed —
+        // touched nodes, their neighbours and the flip endpoints — and of
+        // every successor of a node whose hop changed.
+        seen.begin(n);
+        let mut queue = |v: Node, heap: &mut BinaryHeap<_>| {
+            if seen.set(v) {
+                heap.push(Reverse((dist[v as usize], v)));
+            }
+        };
+        for &t in touched_list.iter() {
+            queue(t, heap);
+            for &w in &adj[t as usize] {
+                queue(w, heap);
+            }
+        }
+        // A batch link's far endpoint needs no seed: its distance always
+        // changes (to or from 1), so it is already touched.
+        for &(x, y, _) in flips {
+            queue(x, heap);
+            queue(y, heap);
+        }
+        while let Some(Reverse((d, v))) = heap.pop() {
+            let (hop, count) = match d {
+                0 | UNREACH => (NO_HOP, 0),
+                1 => (v, 1),
+                _ => {
+                    let (mut hop, mut count) = (NO_HOP, 0);
+                    for &w in &adj[v as usize] {
+                        if dist[w as usize] == d - 1 {
+                            let hw = next[w as usize];
+                            if hw < hop {
+                                (hop, count) = (hw, 1);
+                            } else if hw == hop {
+                                count += 1;
+                            }
+                        }
+                    }
+                    (hop, count)
+                }
+            };
+            support[v as usize] = count;
+            if std::mem::replace(&mut next[v as usize], hop) != hop && d != UNREACH {
+                for &s in &adj[v as usize] {
+                    if dist[s as usize] == d + 1 {
+                        queue(s, heap);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Refills the last repaired row from scratch and asserts the repair
+    /// had left it exactly so, so every debug-build suite checks the local
+    /// repair on each commit.
+    #[cfg(debug_assertions)]
+    fn check_last_repair(&mut self, engine: &RspanEngine) {
+        let Some(&u) = self.affected_rows.last() else {
+            return;
+        };
+        let row = u as usize * self.n..(u as usize + 1) * self.n;
+        let dist = self.tables.dist[row.clone()].to_vec();
+        let next = self.tables.next[row.clone()].to_vec();
+        let support = self.support[row.clone()].to_vec();
+        self.fill(engine, u);
+        debug_assert_eq!(dist, self.tables.dist[row.clone()], "row {u}: dist");
+        debug_assert_eq!(next, self.tables.next[row.clone()], "row {u}: next");
+        debug_assert_eq!(support, self.support[row], "row {u}: support");
     }
 
     /// Installs a live telemetry handle: every repair records wall-clock
@@ -302,11 +555,11 @@ impl DeltaRouter {
     }
 
     /// Like [`DeltaRouter::apply`], with the repair attributed into `obs`:
-    /// the flip scan and row refill are wall-clock profiled
+    /// the flip scan and row repair are wall-clock profiled
     /// ([`Phase::RepairSweep`] / [`Phase::RepairFill`], profile channel
     /// only), and a deterministic [`ObsEvent::Repair`] summary records how
     /// many rows the batch marked directly, how many the flip scan marked,
-    /// how many the scan proved unaffected and how many were recomputed.
+    /// how many the scan proved unaffected and how many were repaired.
     /// With the off handle this *is* `apply` — one branch, no timing, no
     /// allocation.
     pub fn apply_observed(
@@ -402,7 +655,7 @@ impl DeltaRouter {
                         }
                     }
                     self.mark(u);
-                    break; // later flips cannot unmark; the row rebuilds once
+                    break; // later flips cannot unmark; the row repairs once
                 }
             }
         }
@@ -415,8 +668,8 @@ impl DeltaRouter {
             self.tel.span_record(Span::RepairSweep, ns, items);
         }
 
-        // Update the sparse spanner adjacency, then rebuild the marked rows
-        // over the post-flip structure.
+        // Update the sparse spanner adjacency, then repair the marked rows
+        // against the post-flip structure.
         for &(x, y) in &delta.removed {
             let ok = sorted_remove(&mut self.spanner_adj[x as usize], y)
                 && sorted_remove(&mut self.spanner_adj[y as usize], x);
@@ -429,10 +682,17 @@ impl DeltaRouter {
             sorted_insert(&mut self.spanner_adj[x as usize], y);
             sorted_insert(&mut self.spanner_adj[y as usize], x);
         }
+        self.batch_links.clear();
+        for change in batch {
+            let (a, b) = change.endpoints();
+            self.batch_links.extend([(a, b), (b, a)]);
+        }
+        self.batch_links.sort_unstable();
+        self.batch_links.dedup();
         stamp = timed.then(Instant::now);
         let rows = std::mem::take(&mut self.affected_rows);
         for &u in &rows {
-            self.fill(engine, u);
+            self.repair_row(engine, u);
         }
         self.affected_rows = rows;
         if let Some(start) = stamp {
@@ -443,6 +703,8 @@ impl DeltaRouter {
             }
             self.tel.span_record(Span::RepairFill, ns, items);
         }
+        #[cfg(debug_assertions)]
+        self.check_last_repair(engine);
         if on {
             obs.emit(ObsEvent::Repair {
                 epoch: delta.epoch,
@@ -496,14 +758,133 @@ impl DeltaRouter {
 mod tests {
     use super::*;
     use rspan_domtree::TreeAlgo;
+    use rspan_engine::{ChurnScenario, JoinLeaveScenario, LinkFlapScenario, MobilityScenario};
     use rspan_graph::generators::er::gnp_connected;
     use rspan_graph::generators::structured::{cycle_graph, grid_graph};
+    use rspan_graph::generators::udg::uniform_udg;
+    use rspan_graph::DynamicGraph;
 
     fn assert_matches_full_build(router: &DeltaRouter, engine: &RspanEngine, context: &str) {
         let csr = engine.to_csr();
         let spanner = engine.spanner_on(&csr);
         let full = RoutingTables::build(&spanner);
         assert_eq!(router.tables(), &full, "{context}");
+    }
+
+    /// Asserts the whole router state — tables, support counts and the
+    /// sparse spanner adjacency — equals a router built fresh from `engine`.
+    fn assert_state_matches_fresh(router: &DeltaRouter, engine: &RspanEngine, context: &str) {
+        let fresh = DeltaRouter::new(engine);
+        assert_eq!(
+            router.spanner_adj, fresh.spanner_adj,
+            "{context}: adjacency"
+        );
+        assert_eq!(router.tables, fresh.tables, "{context}: tables");
+        assert_eq!(router.support, fresh.support, "{context}: support");
+    }
+
+    /// Clips a batch to the changes valid against `graph` in sequence (the
+    /// interleaved scenario families each assume they alone drive it).
+    fn valid_subset(graph: &DynamicGraph, batch: Vec<TopologyChange>) -> Vec<TopologyChange> {
+        let mut tracker = graph.clone();
+        batch
+            .into_iter()
+            .filter(|change| {
+                let (u, v) = change.endpoints();
+                let ok = match change {
+                    TopologyChange::AddEdge(..) => !tracker.has_edge(u, v),
+                    TopologyChange::RemoveEdge(..) => tracker.has_edge(u, v),
+                };
+                if ok {
+                    change.apply_to(&mut tracker);
+                }
+                ok
+            })
+            .collect()
+    }
+
+    /// Drives interleaved link-flap, mobility and join/leave churn over a
+    /// unit-disk graph and checks the full router state after every commit.
+    /// Returns the unreachable-entry count of the table after each commit.
+    fn drive_interleaved_churn(n: usize, side: f64, seed: u64, rounds: usize) -> Vec<usize> {
+        let inst = uniform_udg(n, side, 1.0, seed);
+        let mut engine = RspanEngine::new(inst.graph.clone(), TreeAlgo::KGreedy { k: 2 });
+        let mut router = DeltaRouter::new(&engine);
+        let mut scenarios: Vec<Box<dyn ChurnScenario>> = vec![
+            Box::new(LinkFlapScenario::new(&inst.graph, 4.0, seed)),
+            Box::new(MobilityScenario::from_udg(&inst, 3, 0.3, seed ^ 0x5EED)),
+            Box::new(JoinLeaveScenario::new(inst.graph.clone(), 2, seed ^ 0x101E)),
+        ];
+        let mut unreachable = Vec::with_capacity(rounds);
+        for round in 0..rounds {
+            let scenario = &mut scenarios[round % 3];
+            let batch = valid_subset(engine.graph(), scenario.next_batch(engine.graph()));
+            let delta = engine.commit(&batch);
+            router.apply(&engine, &batch, &delta);
+            let context = format!("seed {seed} round {round} ({})", scenario.label());
+            assert_state_matches_fresh(&router, &engine, &context);
+            unreachable.push(router.tables.dist.iter().filter(|&&d| d == UNREACH).count());
+        }
+        unreachable
+    }
+
+    #[test]
+    fn repaired_state_equals_a_fresh_router_under_interleaved_churn() {
+        for seed in 0..8 {
+            drive_interleaved_churn(100, 4.0, seed, 40);
+        }
+    }
+
+    #[test]
+    fn repaired_state_equals_a_fresh_router_as_components_split_and_merge() {
+        // Mean degree ≈ 3: the graph sits near its percolation threshold, so
+        // rows hold unreachable entries and churn splits and merges
+        // components (the unreachable count both rises and falls).
+        let (mut rose, mut fell) = (false, false);
+        for seed in 0..4 {
+            let counts = drive_interleaved_churn(60, 8.0, 100 + seed, 30);
+            assert!(
+                counts.iter().all(|&c| c > 0),
+                "seed {seed}: graph connected"
+            );
+            for pair in counts.windows(2) {
+                rose |= pair[1] > pair[0];
+                fell |= pair[1] < pair[0];
+            }
+        }
+        assert!(rose && fell, "no component split and merge happened");
+    }
+
+    #[test]
+    fn a_batch_that_removes_and_re_adds_an_edge_leaves_the_state_exact() {
+        let g = gnp_connected(50, 0.08, 11);
+        let mut engine = RspanEngine::new(g.clone(), TreeAlgo::KGreedy { k: 1 });
+        let mut router = DeltaRouter::new(&engine);
+        let edges: Vec<(Node, Node)> = g.edges().collect();
+        for (round, &(a, b)) in edges.iter().step_by(7).enumerate() {
+            let (c, d) = edges[(round * 13 + 5) % edges.len()];
+            let mut batch = vec![
+                TopologyChange::RemoveEdge(a, b),
+                TopologyChange::AddEdge(a, b),
+            ];
+            if (c, d) != (a, b) && engine.graph().has_edge(c, d) {
+                batch.push(TopologyChange::RemoveEdge(c, d));
+            }
+            let delta = engine.commit(&batch);
+            router.apply(&engine, &batch, &delta);
+            assert_state_matches_fresh(&router, &engine, &format!("round {round}"));
+            // Put the second edge back, again inside a remove/re-add batch.
+            let mut batch = vec![
+                TopologyChange::RemoveEdge(a, b),
+                TopologyChange::AddEdge(a, b),
+            ];
+            if !engine.graph().has_edge(c, d) {
+                batch.push(TopologyChange::AddEdge(c, d));
+            }
+            let delta = engine.commit(&batch);
+            router.apply(&engine, &batch, &delta);
+            assert_state_matches_fresh(&router, &engine, &format!("round {round} restore"));
+        }
     }
 
     #[test]
