@@ -59,10 +59,60 @@
 //!   tree with an O(1) predicate (mirroring the delta-router row predicate:
 //!   an equal-depth flip, an added non-improving predecessor, or a removed
 //!   non-parent predecessor provably leaves distances, canonical parents and
-//!   hence the DFS intervals unchanged) and only dirty trees rebuild;
+//!   hence the DFS intervals unchanged).  A dirty tree typically changes a
+//!   couple of distances and parents out of `n`, so it is repaired in place
+//!   rather than rebuilt (see below);
 //! * **cached rows** run the exact delta-router flip predicate (with
 //!   in-place support maintenance) and drop only the rows a flip actually
 //!   changes, plus the rows of batch endpoints.
+//!
+//! ## How a dirty landmark tree is repaired
+//!
+//! Against the post-commit spanner adjacency, in three steps that share one
+//! scratch pool across trees (the per-tree state stays `dist`, `parent`,
+//! `tin`, `tout`):
+//!
+//! 1. **Re-settle distances** with the unit-weight dynamic BFS update
+//!    (Ramalingam & Reps) that [`crate::delta`] runs on rows.  In increasing
+//!    old distance, a node is *lost* when no neighbour one level up is still
+//!    unaffected; seeds are the deeper endpoints of removed edges between
+//!    consecutive levels.  Lost nodes then restart from their unaffected
+//!    neighbours, added edges' endpoints are pushed as shortcuts, and
+//!    relaxation runs to a fixpoint, which is exactly the new BFS distance.
+//! 2. **Re-derive canonical parents.**  A parent is the minimum-id
+//!    neighbour one level up: a function of the node's distance, its edges
+//!    and its neighbours' distances.  So only touched nodes, their
+//!    neighbours and the flip endpoints are re-derived, in O(deg) each.  A
+//!    parent-only change (a removed canonical-parent edge with another
+//!    predecessor left, an added lower-id predecessor) takes no step-1 work.
+//! 3. **Relabel what moved.**  Only the old and new parents of a node whose
+//!    parent changed have a different child list; mark them and their
+//!    ancestors in the new tree as the *skeleton*.  Below any other node the
+//!    subtree is exactly the old one (every node in it keeps its children,
+//!    and children are ordered by id), so its preorder block keeps its shape
+//!    and at most shifts.  The relabel re-runs the preorder DFS on the
+//!    skeleton only: each off-skeleton child block is skipped in O(1) when
+//!    its offset is unchanged, else shifted by a constant, and jumped over.
+//!    Nested or overlapping moves need no special case, and the cost is the
+//!    skeleton plus the labels that actually change, not `n` (though a
+//!    batch that moves many scattered subtrees does change most labels).
+//!
+//! The full rebuild (`rebuild_tree`) runs only in [`CompactRouter::new`],
+//! for newly elected landmarks, and for a tree whose reachable set changed:
+//! an added edge with exactly one reachable endpoint (checked up front), or
+//! a lost node that step 1 cannot re-settle.
+//!
+//! Landmark re-election (a full `connected_components`) runs only when some
+//! tree's reachable set changed.  That is sound because each way the
+//! components can change shows up as such a tree.  A split cuts a tree
+//! edge of the old component minimum's tree (its tree spans the component),
+//! so that tree is dirty and loses reach.  A merge adds an edge from that
+//! tree's component to a node it does not reach, so that tree is dirty and
+//! gains reach.  Without a component change the landmark set (a fixed
+//! stride sample plus the component minima) is unchanged.  Repaired trees
+//! are pinned against a fresh [`CompactRouter::new`] in the unit tests, and
+//! debug builds rebuild the last tree repaired in place on every commit and
+//! assert all four arrays equal.
 
 use crate::delta::SparseView;
 use crate::tables::{fill_row, NO_HOP, UNREACH};
@@ -73,6 +123,8 @@ use rspan_graph::{
 };
 use rspan_obs::{ObsEvent, ObsHandle, Phase};
 use rspan_telemetry::{Counter, Gauge, Hist, Span, TelemetryHandle};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::time::Instant;
 
 /// Pure-spanner adjacency view (no incident-edge augmentation) — the
@@ -147,7 +199,7 @@ pub struct LocalRepairStats {
     pub epoch: u64,
     /// Ball rows rebuilt.
     pub ball_rows: usize,
-    /// Landmark trees rebuilt (dirty or newly elected).
+    /// Landmark trees repaired in place or rebuilt (dirty or newly elected).
     pub landmark_trees: usize,
     /// Cached rows dropped by the flip predicate or batch endpoints.
     pub cache_invalidated: usize,
@@ -250,6 +302,220 @@ fn rebuild_tree(
             stack.pop();
         }
     }
+}
+
+/// Scratch shared by every landmark-tree repair (grown on first use and
+/// reused across trees, so it is not per-tree state).
+#[derive(Default)]
+struct TreeScratch {
+    /// `(dist, node)` min-heap of the lost-node and re-settle phases.
+    heap: BinaryHeap<Reverse<(u32, Node)>>,
+    /// Lost-node candidates, then the nodes whose parent is re-derived,
+    /// then the relabel skeleton.
+    seen: EpochFlags,
+    /// Nodes whose distance the repair rewrote (lost or lowered).
+    touched: EpochFlags,
+    touched_list: Vec<Node>,
+    /// Parent re-derivation list, then the block-shift walk.
+    walk: Vec<Node>,
+    /// `(node, old parent)` for every node whose canonical parent changed.
+    moved: Vec<(Node, Node)>,
+    /// DFS stack of [`rebuild_tree`] and of the relabel walk.
+    stack: Vec<(Node, usize)>,
+}
+
+/// Brings a dirty `tree` from the pre-commit spanner to the post-commit
+/// `adj` in place (see "How a dirty landmark tree is repaired" in the
+/// module docs): re-settle the distances the `flips` change, re-derive the
+/// canonical parents whose inputs changed, then relabel only the preorder
+/// blocks that moved.  When the tree's reachable set changes it is rebuilt
+/// from scratch instead, and `true` is returned.
+fn repair_tree(
+    tree: &mut LandmarkTree,
+    adj: &[Vec<Node>],
+    flips: &[(Node, Node, bool)],
+    s: &mut TreeScratch,
+    queue: &mut Vec<Node>,
+) -> bool {
+    let n = adj.len();
+    // An added edge with exactly one reachable endpoint extends the reach.
+    let gains = flips.iter().any(|&(x, y, is_add)| {
+        is_add && (tree.dist[x as usize] == UNREACH) != (tree.dist[y as usize] == UNREACH)
+    });
+    if gains {
+        rebuild_tree(tree, n, adj, queue, &mut s.stack);
+        return true;
+    }
+    let dist = &mut tree.dist;
+    let parent = &mut tree.parent;
+    let heap = &mut s.heap;
+    let seen = &mut s.seen;
+    let touched_list = &mut s.touched_list;
+    heap.clear();
+    touched_list.clear();
+    seen.begin(n);
+    s.touched.begin(n);
+
+    // Phase 1: in increasing old distance, find the nodes left without an
+    // unaffected neighbour one level up.  Seeds are the deeper endpoints of
+    // removed edges that linked two consecutive levels.
+    for &(x, y, is_add) in flips {
+        let (dx, dy) = (dist[x as usize], dist[y as usize]);
+        let (dlo, hi, dhi) = if dx < dy { (dx, y, dy) } else { (dy, x, dx) };
+        if !is_add && dhi != UNREACH && dhi == dlo + 1 && seen.set(hi) {
+            heap.push(Reverse((dhi, hi)));
+        }
+    }
+    while let Some(Reverse((d, z))) = heap.pop() {
+        // Lost nodes already read `UNREACH`, so this only finds unaffected
+        // predecessors.
+        if adj[z as usize].iter().any(|&w| dist[w as usize] == d - 1) {
+            continue;
+        }
+        dist[z as usize] = UNREACH;
+        s.touched.set(z);
+        touched_list.push(z);
+        for &c in &adj[z as usize] {
+            if dist[c as usize] == d + 1 && seen.set(c) {
+                heap.push(Reverse((d + 1, c)));
+            }
+        }
+    }
+
+    // Phase 2: re-settle.  Lost nodes start from their unaffected
+    // neighbours, added edges act as shortcuts, and unit-weight relaxation
+    // closes every edge left inconsistent.
+    for &z in touched_list.iter() {
+        let est = adj[z as usize]
+            .iter()
+            .map(|&w| dist[w as usize].saturating_add(1))
+            .min()
+            .unwrap_or(UNREACH);
+        if est != UNREACH {
+            dist[z as usize] = est;
+            heap.push(Reverse((est, z)));
+        }
+    }
+    for &(x, y, _) in flips.iter().filter(|&&(_, _, is_add)| is_add) {
+        for v in [x, y] {
+            if dist[v as usize] != UNREACH {
+                heap.push(Reverse((dist[v as usize], v)));
+            }
+        }
+    }
+    while let Some(Reverse((d, v))) = heap.pop() {
+        if dist[v as usize] != d {
+            continue; // superseded by a shorter entry
+        }
+        for &w in &adj[v as usize] {
+            if d + 1 < dist[w as usize] {
+                dist[w as usize] = d + 1;
+                if s.touched.set(w) {
+                    touched_list.push(w);
+                }
+                heap.push(Reverse((d + 1, w)));
+            }
+        }
+    }
+    // Only lost nodes can end unreached: the tree lost reach.
+    if touched_list.iter().any(|&z| dist[z as usize] == UNREACH) {
+        rebuild_tree(tree, n, adj, queue, &mut s.stack);
+        return true;
+    }
+
+    // Phase 3: a canonical parent is the minimum-id neighbour one level up,
+    // a function of the node's distance, its edges and its neighbours'
+    // distances.  Re-derive it wherever one of those changed: touched
+    // nodes, their neighbours and the flip endpoints.
+    seen.begin(n);
+    s.walk.clear();
+    for &t in touched_list.iter() {
+        for v in std::iter::once(t).chain(adj[t as usize].iter().copied()) {
+            if seen.set(v) {
+                s.walk.push(v);
+            }
+        }
+    }
+    for &(x, y, _) in flips {
+        for v in [x, y] {
+            if seen.set(v) {
+                s.walk.push(v);
+            }
+        }
+    }
+    s.moved.clear();
+    for &v in &s.walk {
+        let d = dist[v as usize];
+        let p = match d {
+            0 | UNREACH => NO_HOP,
+            _ => *adj[v as usize]
+                .iter()
+                .find(|&&w| dist[w as usize] == d - 1)
+                .expect("a reachable node has a neighbour one level up"),
+        };
+        let old = std::mem::replace(&mut parent[v as usize], p);
+        if old != p {
+            s.moved.push((v, old));
+        }
+    }
+    if s.moved.is_empty() {
+        return false;
+    }
+
+    // Relabel.  Only the old and new parents of moved nodes changed their
+    // child lists; they and their (new) ancestors form the skeleton.  Below
+    // any other node the subtree is the old one, so its preorder block keeps
+    // its shape and only shifts.  The walk re-runs the DFS on the skeleton
+    // alone: each off-skeleton child block is shifted to the running
+    // timer (skipped in O(1) when it has not moved) and jumped over.
+    seen.begin(n);
+    for &(x, old) in &s.moved {
+        for mut w in [old, parent[x as usize]] {
+            while w != NO_HOP && seen.set(w) {
+                w = parent[w as usize];
+            }
+        }
+    }
+    let (tin, tout) = (&mut tree.tin, &mut tree.tout);
+    let mut timer = 0u32;
+    s.stack.clear();
+    s.stack.push((tree.root, 0));
+    while let Some(&mut (w, ref mut i)) = s.stack.last_mut() {
+        let list = &adj[w as usize];
+        let mut descended = false;
+        while *i < list.len() {
+            let c = list[*i];
+            *i += 1;
+            if parent[c as usize] != w {
+                continue;
+            }
+            timer += 1;
+            if seen.test(c) {
+                tin[c as usize] = timer;
+                s.stack.push((c, 0));
+                descended = true;
+                break;
+            }
+            let (a, b) = (tin[c as usize], tout[c as usize]);
+            if a != timer {
+                let shift = timer.wrapping_sub(a);
+                s.walk.clear();
+                s.walk.push(c);
+                while let Some(v) = s.walk.pop() {
+                    tin[v as usize] = tin[v as usize].wrapping_add(shift);
+                    tout[v as usize] = tout[v as usize].wrapping_add(shift);
+                    s.walk
+                        .extend(adj[v as usize].iter().filter(|&&k| parent[k as usize] == v));
+                }
+            }
+            timer += b - a;
+        }
+        if !descended {
+            tout[w as usize] = timer;
+            s.stack.pop();
+        }
+    }
+    false
 }
 
 /// Next hop from `w` toward `dst` along `tree` (both must be reachable in
@@ -359,7 +625,7 @@ pub struct CompactRouter {
     cache: RowCache,
     // Scratch pools (epoch-stamped where flag-shaped).
     queue: Vec<Node>,
-    dfs_stack: Vec<(Node, usize)>,
+    tree_scratch: TreeScratch,
     tmp_next: Vec<Node>,
     tmp_dist: Vec<u32>,
     src_neighbors: Vec<Node>,
@@ -406,7 +672,7 @@ impl CompactRouter {
             trees: Vec::new(),
             cache: RowCache::new(n, cfg.cache_capacity),
             queue: Vec::with_capacity(n),
-            dfs_stack: Vec::new(),
+            tree_scratch: TreeScratch::default(),
             tmp_next: vec![NO_HOP; n],
             tmp_dist: vec![UNREACH; n],
             src_neighbors: Vec::new(),
@@ -436,7 +702,7 @@ impl CompactRouter {
                 n,
                 &router.spanner_adj,
                 &mut router.queue,
-                &mut router.dfs_stack,
+                &mut router.tree_scratch.stack,
             );
             router.trees.push(tree);
         }
@@ -606,7 +872,7 @@ impl CompactRouter {
     }
 
     /// Like [`CompactRouter::apply`], with the repair attributed into `obs`:
-    /// ball-row rebuilds and landmark-tree rebuilds are wall-clock profiled
+    /// ball-row rebuilds and landmark-tree repairs are wall-clock profiled
     /// ([`Phase::BallRepair`] / [`Phase::LandmarkRepair`]), wall time
     /// accumulated by query-path materialisation since the last commit is
     /// flushed into [`Phase::Materialize`], and a deterministic
@@ -713,56 +979,36 @@ impl CompactRouter {
             self.tel.span_record(Span::BallRepair, ns, ball_rows as u64);
         }
 
-        // Landmark set + trees: re-elect on any spanner flip (component
-        // structure may have changed), rebuild dirty and new trees, retire
-        // trees of demoted landmarks into the spare pool.
+        // Landmark trees: repair each dirty tree in place.  Only a tree
+        // whose reachable set changed is rebuilt, and only then can the
+        // spanner's components (and so the landmark set) have changed:
+        // re-elect, rebuild new landmarks' trees and retire demoted ones
+        // into the spare pool.
         stamp = timed.then(Instant::now);
-        let mut trees_rebuilt = 0usize;
-        if !self.flips.is_empty() {
-            let old_landmarks = std::mem::take(&mut self.landmarks);
-            let old_trees = std::mem::take(&mut self.trees);
-            let old_dirty = std::mem::take(&mut self.tree_dirty);
-            self.elect_landmarks();
-            let mut keep: Vec<Option<(LandmarkTree, bool)>> =
-                old_trees.into_iter().zip(old_dirty).map(Some).collect();
-            let landmarks = std::mem::take(&mut self.landmarks);
-            for &root in &landmarks {
-                let found = old_landmarks
-                    .binary_search(&root)
-                    .ok()
-                    .and_then(|i| keep[i].take());
-                let tree = match found {
-                    Some((tree, false)) => tree,
-                    Some((mut tree, true)) => {
-                        trees_rebuilt += 1;
-                        rebuild_tree(
-                            &mut tree,
-                            n,
-                            &self.spanner_adj,
-                            &mut self.queue,
-                            &mut self.dfs_stack,
-                        );
-                        tree
-                    }
-                    None => {
-                        trees_rebuilt += 1;
-                        let mut tree = self.spare_tree(root);
-                        rebuild_tree(
-                            &mut tree,
-                            n,
-                            &self.spanner_adj,
-                            &mut self.queue,
-                            &mut self.dfs_stack,
-                        );
-                        tree
-                    }
-                };
-                self.trees.push(tree);
+        let mut reach_changed = false;
+        let mut last_in_place = None;
+        for ti in 0..self.trees.len() {
+            if !self.tree_dirty[ti] {
+                continue;
             }
-            self.landmarks = landmarks;
-            self.spare_trees
-                .extend(keep.into_iter().flatten().map(|(tree, _)| tree));
+            let tree = &mut self.trees[ti];
+            if repair_tree(
+                tree,
+                &self.spanner_adj,
+                &self.flips,
+                &mut self.tree_scratch,
+                &mut self.queue,
+            ) {
+                reach_changed = true;
+            } else {
+                last_in_place = Some(tree.root);
+            }
         }
+        let trees_rebuilt = if reach_changed {
+            self.reelect_landmarks()
+        } else {
+            self.tree_dirty.iter().filter(|&&dirty| dirty).count()
+        };
         if let Some(start) = stamp {
             let ns = start.elapsed().as_nanos() as u64;
             if on {
@@ -770,6 +1016,9 @@ impl CompactRouter {
             }
             self.tel
                 .span_record(Span::LandmarkRepair, ns, trees_rebuilt as u64);
+        }
+        if let Some(root) = last_in_place.filter(|_| cfg!(debug_assertions)) {
+            self.check_tree_repair(root);
         }
 
         if timed && self.pending_materialized > 0 {
@@ -940,6 +1189,72 @@ impl CompactRouter {
         self.landmarks.dedup();
     }
 
+    /// Re-elects the landmark set after the components changed, keeping the
+    /// (already repaired) trees of surviving landmarks, building the new
+    /// landmarks' trees and retiring demoted ones into the spare pool.
+    /// Returns the dirty surviving trees plus the new ones.
+    fn reelect_landmarks(&mut self) -> usize {
+        let old_landmarks = std::mem::take(&mut self.landmarks);
+        let old_trees = std::mem::take(&mut self.trees);
+        let old_dirty = std::mem::take(&mut self.tree_dirty);
+        self.elect_landmarks();
+        let mut keep: Vec<Option<(LandmarkTree, bool)>> =
+            old_trees.into_iter().zip(old_dirty).map(Some).collect();
+        let landmarks = std::mem::take(&mut self.landmarks);
+        let mut count = 0usize;
+        for &root in &landmarks {
+            let found = old_landmarks
+                .binary_search(&root)
+                .ok()
+                .and_then(|i| keep[i].take());
+            let tree = match found {
+                Some((tree, dirty)) => {
+                    count += usize::from(dirty);
+                    tree
+                }
+                None => {
+                    count += 1;
+                    let mut tree = self.spare_tree(root);
+                    rebuild_tree(
+                        &mut tree,
+                        self.n,
+                        &self.spanner_adj,
+                        &mut self.queue,
+                        &mut self.tree_scratch.stack,
+                    );
+                    tree
+                }
+            };
+            self.trees.push(tree);
+        }
+        self.landmarks = landmarks;
+        self.spare_trees
+            .extend(keep.into_iter().flatten().map(|(tree, _)| tree));
+        count
+    }
+
+    /// Rebuilds the tree of `root` (if still a landmark) from scratch and
+    /// asserts the in-place repair had left it exactly so, so every
+    /// debug-build suite checks the tree repair on each commit.
+    fn check_tree_repair(&mut self, root: Node) {
+        let Ok(ti) = self.landmarks.binary_search(&root) else {
+            return;
+        };
+        let mut fresh = LandmarkTree::empty(root);
+        rebuild_tree(
+            &mut fresh,
+            self.n,
+            &self.spanner_adj,
+            &mut self.queue,
+            &mut self.tree_scratch.stack,
+        );
+        let tree = &self.trees[ti];
+        debug_assert_eq!(tree.dist, fresh.dist, "tree {root}: dist");
+        debug_assert_eq!(tree.parent, fresh.parent, "tree {root}: parent");
+        debug_assert_eq!(tree.tin, fresh.tin, "tree {root}: tin");
+        debug_assert_eq!(tree.tout, fresh.tout, "tree {root}: tout");
+    }
+
     fn spare_tree(&mut self, root: Node) -> LandmarkTree {
         match self.spare_trees.pop() {
             Some(mut tree) => {
@@ -981,7 +1296,7 @@ impl CompactRouter {
                 continue; // lo was not hi's parent: nothing changes
             }
             // A present tree edge forces Δ ≤ 1 with both ends reachable;
-            // anything else is a bookkeeping bug — rebuild defensively.
+            // anything else is a bookkeeping bug — repair defensively.
             return true;
         }
         false
@@ -1156,9 +1471,12 @@ mod tests {
     use super::*;
     use crate::delta::DeltaRouter;
     use crate::tables::RoutingTables;
+    use crate::test_util::valid_subset;
     use rspan_domtree::TreeAlgo;
+    use rspan_engine::{ChurnScenario, JoinLeaveScenario, LinkFlapScenario, MobilityScenario};
     use rspan_graph::generators::er::gnp_connected;
     use rspan_graph::generators::structured::{cycle_graph, grid_graph};
+    use rspan_graph::generators::udg::uniform_udg;
 
     /// Every ball entry must equal the corresponding dense-table entry, and
     /// every dense entry within the radius must appear in the ball.
@@ -1194,6 +1512,129 @@ mod tests {
         let csr = engine.to_csr();
         let spanner = engine.spanner_on(&csr);
         RoutingTables::build(&spanner)
+    }
+
+    /// Asserts the whole compact state — spanner adjacency, landmark set,
+    /// every tree's four arrays, every ball row and `next_hop` for all
+    /// pairs — equals a router built fresh from `engine`.
+    fn assert_state_matches_fresh(router: &CompactRouter, engine: &RspanEngine, context: &str) {
+        let fresh = CompactRouter::new(engine, router.cfg);
+        assert_eq!(
+            router.spanner_adj, fresh.spanner_adj,
+            "{context}: adjacency"
+        );
+        assert_eq!(
+            router.landmarks(),
+            fresh.landmarks(),
+            "{context}: landmarks"
+        );
+        for (tree, want) in router.trees.iter().zip(&fresh.trees) {
+            let root = want.root;
+            assert_eq!(tree.root, root, "{context}: tree order");
+            assert_eq!(tree.dist, want.dist, "{context}: tree {root} dist");
+            assert_eq!(tree.parent, want.parent, "{context}: tree {root} parent");
+            assert_eq!(tree.tin, want.tin, "{context}: tree {root} tin");
+            assert_eq!(tree.tout, want.tout, "{context}: tree {root} tout");
+        }
+        assert_eq!(router.balls, fresh.balls, "{context}: ball rows");
+        for u in 0..router.n() as Node {
+            for v in 0..router.n() as Node {
+                assert_eq!(
+                    router.next_hop(u, v),
+                    fresh.next_hop(u, v),
+                    "{context}: next_hop({u}, {v})"
+                );
+            }
+        }
+    }
+
+    /// Drives interleaved link-flap, mobility and join/leave churn over a
+    /// unit-disk graph and checks the full compact state after every commit.
+    /// Returns the unreachable tree-entry count after each commit.
+    fn drive_interleaved_churn(n: usize, side: f64, seed: u64, rounds: usize) -> Vec<usize> {
+        let inst = uniform_udg(n, side, 1.0, seed);
+        let mut engine = RspanEngine::new(inst.graph.clone(), TreeAlgo::KGreedy { k: 2 });
+        let mut router = CompactRouter::new(&engine, LocalConfig::default());
+        let mut scenarios: Vec<Box<dyn ChurnScenario>> = vec![
+            Box::new(LinkFlapScenario::new(&inst.graph, 4.0, seed)),
+            Box::new(MobilityScenario::from_udg(&inst, 3, 0.3, seed ^ 0x5EED)),
+            Box::new(JoinLeaveScenario::new(inst.graph.clone(), 2, seed ^ 0x101E)),
+        ];
+        let mut unreachable = Vec::with_capacity(rounds);
+        for round in 0..rounds {
+            let scenario = &mut scenarios[round % 3];
+            let batch = valid_subset(engine.graph(), scenario.next_batch(engine.graph()));
+            let delta = engine.commit(&batch);
+            router.apply(&engine, &batch, &delta);
+            let context = format!("seed {seed} round {round} ({})", scenario.label());
+            assert_state_matches_fresh(&router, &engine, &context);
+            let count = router
+                .trees
+                .iter()
+                .map(|t| t.dist.iter().filter(|&&d| d == UNREACH).count())
+                .sum();
+            unreachable.push(count);
+        }
+        unreachable
+    }
+
+    #[test]
+    fn repaired_state_equals_a_fresh_router_under_interleaved_churn() {
+        for seed in 0..8 {
+            drive_interleaved_churn(100, 4.0, seed, 40);
+        }
+    }
+
+    #[test]
+    fn repaired_state_equals_a_fresh_router_as_components_split_and_merge() {
+        // Mean degree ≈ 3: the spanner sits near its percolation threshold,
+        // so trees hold unreachable entries and churn splits and merges
+        // components (the unreachable count both rises and falls).
+        let (mut rose, mut fell) = (false, false);
+        for seed in 0..4 {
+            let counts = drive_interleaved_churn(60, 8.0, 100 + seed, 30);
+            assert!(
+                counts.iter().all(|&c| c > 0),
+                "seed {seed}: spanner connected"
+            );
+            for pair in counts.windows(2) {
+                rose |= pair[1] > pair[0];
+                fell |= pair[1] < pair[0];
+            }
+        }
+        assert!(rose && fell, "no component split and merge happened");
+    }
+
+    #[test]
+    fn a_batch_that_removes_and_re_adds_an_edge_leaves_the_state_exact() {
+        let g = gnp_connected(50, 0.08, 11);
+        let mut engine = RspanEngine::new(g.clone(), TreeAlgo::KGreedy { k: 1 });
+        let mut router = CompactRouter::new(&engine, LocalConfig::default());
+        let edges: Vec<(Node, Node)> = g.edges().collect();
+        for (round, &(a, b)) in edges.iter().step_by(7).enumerate() {
+            let (c, d) = edges[(round * 13 + 5) % edges.len()];
+            let mut batch = vec![
+                TopologyChange::RemoveEdge(a, b),
+                TopologyChange::AddEdge(a, b),
+            ];
+            if (c, d) != (a, b) && engine.graph().has_edge(c, d) {
+                batch.push(TopologyChange::RemoveEdge(c, d));
+            }
+            let delta = engine.commit(&batch);
+            router.apply(&engine, &batch, &delta);
+            assert_state_matches_fresh(&router, &engine, &format!("round {round}"));
+            // Put the second edge back, again inside a remove/re-add batch.
+            let mut batch = vec![
+                TopologyChange::RemoveEdge(a, b),
+                TopologyChange::AddEdge(a, b),
+            ];
+            if !engine.graph().has_edge(c, d) {
+                batch.push(TopologyChange::AddEdge(c, d));
+            }
+            let delta = engine.commit(&batch);
+            router.apply(&engine, &batch, &delta);
+            assert_state_matches_fresh(&router, &engine, &format!("round {round} restore"));
+        }
     }
 
     #[test]

@@ -757,12 +757,12 @@ impl DeltaRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_util::valid_subset;
     use rspan_domtree::TreeAlgo;
     use rspan_engine::{ChurnScenario, JoinLeaveScenario, LinkFlapScenario, MobilityScenario};
     use rspan_graph::generators::er::gnp_connected;
     use rspan_graph::generators::structured::{cycle_graph, grid_graph};
     use rspan_graph::generators::udg::uniform_udg;
-    use rspan_graph::DynamicGraph;
 
     fn assert_matches_full_build(router: &DeltaRouter, engine: &RspanEngine, context: &str) {
         let csr = engine.to_csr();
@@ -781,26 +781,6 @@ mod tests {
         );
         assert_eq!(router.tables, fresh.tables, "{context}: tables");
         assert_eq!(router.support, fresh.support, "{context}: support");
-    }
-
-    /// Clips a batch to the changes valid against `graph` in sequence (the
-    /// interleaved scenario families each assume they alone drive it).
-    fn valid_subset(graph: &DynamicGraph, batch: Vec<TopologyChange>) -> Vec<TopologyChange> {
-        let mut tracker = graph.clone();
-        batch
-            .into_iter()
-            .filter(|change| {
-                let (u, v) = change.endpoints();
-                let ok = match change {
-                    TopologyChange::AddEdge(..) => !tracker.has_edge(u, v),
-                    TopologyChange::RemoveEdge(..) => tracker.has_edge(u, v),
-                };
-                if ok {
-                    change.apply_to(&mut tracker);
-                }
-                ok
-            })
-            .collect()
     }
 
     /// Drives interleaved link-flap, mobility and join/leave churn over a

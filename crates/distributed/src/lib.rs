@@ -62,3 +62,32 @@ pub use tables::{tables_are_consistent, RoutingTables};
 pub use transport::{
     BufferedTransport, Envelope, Outgoing, PendingOps, ProtocolNode, Transport, WireSize,
 };
+
+#[cfg(test)]
+mod test_util {
+    use rspan_engine::TopologyChange;
+    use rspan_graph::DynamicGraph;
+
+    /// Clips a batch to the changes valid against `graph` in sequence (the
+    /// interleaved scenario families each assume they alone drive it).
+    pub(crate) fn valid_subset(
+        graph: &DynamicGraph,
+        batch: Vec<TopologyChange>,
+    ) -> Vec<TopologyChange> {
+        let mut tracker = graph.clone();
+        batch
+            .into_iter()
+            .filter(|change| {
+                let (u, v) = change.endpoints();
+                let ok = match change {
+                    TopologyChange::AddEdge(..) => !tracker.has_edge(u, v),
+                    TopologyChange::RemoveEdge(..) => tracker.has_edge(u, v),
+                };
+                if ok {
+                    change.apply_to(&mut tracker);
+                }
+                ok
+            })
+            .collect()
+    }
+}
